@@ -10,7 +10,7 @@ of the PROB run — as one JSON document.
 
 Overheads are same-lane comparisons: the metrics overhead compares two
 fast-loop runs, and the trace overhead compares the traced run against
-an untraced run *forced onto the same general per-tick loop*
+an untraced run *forced onto the same kernel-driven tick loop*
 (``force_general=True``) — a tracer disables the fast loop, so
 comparing against the fast-loop time would report the lane difference
 (hundreds of percent) rather than the cost of tracing.
@@ -139,11 +139,11 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
                 name, pair, window, memory,
                 estimators=estimators, seed=seed, metrics=MetricsRegistry(),
             ),
-            # A tracer forces the general per-tick loop, so comparing a
+            # A tracer forces the kernel tick loop, so comparing a
             # traced run against the *fast-loop* "plain" leg measures
             # lane difference, not tracing cost (it reported +370% for
             # EXACT).  Pin the trace comparison to the same execution
-            # lane: an untraced run forced onto the general loop.
+            # lane: an untraced run forced onto the kernel loop.
             "general": lambda: run_algorithm(
                 name, pair, window, memory,
                 estimators=estimators, seed=seed, force_general=True,

@@ -9,12 +9,7 @@
 * :mod:`repro.core.slowcpu` — the modular slow-CPU extension.
 """
 
-from .async_engine import (
-    AsyncEngineConfig,
-    AsyncJoinEngine,
-    AsyncRunResult,
-    batches_from_pair,
-)
+from .async_engine import AsyncEngineConfig, AsyncJoinEngine, AsyncRunResult
 from .engine import (
     CapacityExceededError,
     EngineConfig,
@@ -39,7 +34,6 @@ __all__ = [
     "AsyncJoinEngine",
     "AsyncRunResult",
     "CapacityExceededError",
-    "batches_from_pair",
     "DropBreakdown",
     "EngineConfig",
     "JoinEngine",

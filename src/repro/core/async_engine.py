@@ -30,8 +30,8 @@ Output is counted per processing tick against the usual warmup.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from ..obs import Timer, active_or_none
@@ -41,14 +41,14 @@ from ..obs.trace import (
     TraceEvent,
     tracing_or_none,
 )
-from ..streams.sources import Source, as_source
-from ..streams.tuples import StreamPair
+from ..streams.sources import Source, as_source, bounded_events
+from ..streams.tuples import JoinResultTuple, StreamPair
 from .engine import PolicySpec
 from .kernel import JoinKernel
 from .memory import JoinMemory, TupleRecord
 from .policies import resolve_policy_spec
 from .policies.life import LifePolicy
-from .results import BaseRunResult, DropBreakdown, RunSummary
+from .results import BaseRunResult, DropBreakdown, RunSummary, side_drop_counts
 
 WINDOW_MODES = ("time", "count", "landmark")
 
@@ -181,238 +181,23 @@ class AsyncJoinEngine:
             raise ValueError("batch sequences must cover the same number of ticks")
         if on_tick_every < 1:
             raise ValueError(f"on_tick_every must be >= 1, got {on_tick_every}")
-        # The count-only EXACT lane: with no policy, no instrumentation,
-        # and no per-tick hooks, a time-windowed run is pure count
-        # arithmetic (see repro.core.batched) — this is the hot path of
-        # sharded EXACT execution.  Bit-identical to the kernel path.
-        if (
-            self._policy_r is None
-            and self._policy_s is None
-            and self.config.window_mode == "time"
-            and resume is None
-            and on_tick is None
-            and not self.config.validate
-            and active_or_none(self.metrics) is None
-            and tracing_or_none(self.trace) is None
-        ):
-            return self._run_exact_counts(r_batches, s_batches)
-        # The hook fires where t % on_tick_every == 0, tracked as a
-        # next-tick pointer: one int compare per tick instead of a
-        # modulo, and -1 (never matches) when there is no hook at all.
-        hook_next = -1
-        config = self.config
-        memory = self.memory
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-        count_mode = config.window_mode == "count"
-        landmark_mode = config.window_mode == "landmark"
-
-        output = 0
-        total_output = 0
-        arrivals = 0
-        sequence = {"R": 0, "S": 0}  # per-stream tuple counters (count mode)
+        events = zip(r_batches, s_batches)
+        # Sharded EXACT execution lands in the count-only lane: every
+        # shard is a policy-less time-mode run over mostly-empty ticks.
+        if resume is None and on_tick is None and self._counts_only():
+            return self._run_exact(events)
         start_tick = 0
-
-        obs = active_or_none(self.metrics)
-        tracer = tracing_or_none(self.trace)
-        kernel = JoinKernel(self.memory, self._policy_r, self._policy_s, tracer=tracer)
-        drop_counts = kernel.drop_counts
-        # Expiry reason names the window style that aged the tuple out.
-        expire_reason = (
-            REASON_WINDOW if config.window_mode == "time" else config.window_mode
-        )
-        tracing = tracer is not None
-        timed = obs is not None
-        self._kernel = kernel
-        self._obs = obs
-        self._tracing = tracing
-        self._tick_state = None
-
         if resume is not None:
-            if tracing:
-                raise ValueError(
-                    "cannot resume a traced run (pre-failure events are gone)"
-                )
             start_tick = resume["tick"] + 1
-            output = resume["output"]
-            total_output = resume["total_output"]
-            arrivals = resume["arrivals"]
-            sequence = dict(resume["sequence"])
-            restored = kernel.restore(resume["kernel"])
-            self._restore_policies(resume["policies"], restored)
-            if timed and resume.get("metrics"):
-                # Merge the checkpoint-time snapshot *before* grabbing
-                # instrument handles: merge_snapshot get-or-creates the
-                # same objects the handles below will extend.
-                obs.merge_snapshot(resume["metrics"])
-
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            batch_size = obs.histogram("async.batch_size")
-
-        if on_tick is not None:
-            # First grid tick at or after start_tick (resume-safe).
-            hook_next = start_tick + (-start_tick % on_tick_every)
-
-        # Untraced sides take the kernel's batch operations (bulk probe
-        # over the per-key group index; bulk insert with one capacity
-        # check per chunk when no policy is attached, else per-tuple
-        # contests inside :meth:`JoinKernel.insert_batch`).  Bulk probes
-        # read the *opposite* memory, so hoisting them above the batch's
-        # insertions is exact as long as those insertions cannot touch
-        # the opposite side: fixed-allocation victims are own-side, but
-        # a shared pool (variable) or an arrival-observing estimator
-        # would make probe results order-dependent — those stay
-        # per-tuple, as do tracers (event order) and count-mode windows
-        # (expiry interleaves inside the batch).
-        batch_ops = (
-            not tracing
-            and not count_mode
-            and (
-                (self._policy_r is None and self._policy_s is None)
-                or (not memory.variable and not kernel.observers)
-            )
+            events = islice(events, start_tick, None)
+        return self._run_ticks(
+            events,
+            start_tick=start_tick,
+            resume=resume,
+            on_tick=on_tick,
+            on_tick_every=on_tick_every,
         )
 
-        for t in range(start_tick, len(r_batches)):
-            if landmark_mode:
-                if t > 0 and t % config.landmark_every == 0:
-                    # A new landmark: the whole window state resets.
-                    kernel.expire(t, t, reason=expire_reason)
-            elif not count_mode:
-                kernel.expire(t - window, t, reason=expire_reason)
-
-            for stream, batch in (("R", r_batches[t]), ("S", s_batches[t])):
-                if batch_ops:
-                    if batch:
-                        arrivals += len(batch)
-                        kernel.observe_batch(stream, batch, t)
-                        matches = kernel.probe_batch(stream, batch, t)
-                        total_output += matches
-                        if t >= warmup:
-                            output += matches
-                        kernel.insert_batch(stream, batch, t)
-                    continue
-                for key in batch:
-                    arrivals += 1
-                    kernel.observe(stream, key, t)
-                    if tracing:
-                        tracer.emit(TraceEvent(t, stream, key, EVENT_ARRIVE, t))
-
-                    matches = kernel.probe(stream, key, t)
-                    total_output += matches
-                    if t >= warmup:
-                        output += matches
-
-                    if count_mode:
-                        # The tuple's own arrival pushes the count window.
-                        sequence[stream] += 1
-                        kernel.expire(
-                            sequence[stream] - window, t,
-                            reason=expire_reason, side=stream,
-                        )
-                        record = TupleRecord(stream, sequence[stream], key)
-                    else:
-                        record = TupleRecord(stream, t, key)
-                    kernel.insert(record, t)
-
-            if timed:
-                batch_size.observe(len(r_batches[t]) + len(s_batches[t]))
-                occupancy_r.append(t, memory.r.size)
-                occupancy_s.append(t, memory.s.size)
-
-            if config.validate:
-                self._check_invariants(t)
-
-            if t == hook_next:
-                hook_next = t + on_tick_every
-                # `sequence` is stored by reference: the state is only
-                # valid inside the hook call, before the next mutation,
-                # so checkpoint() copies it lazily on demand.
-                self._tick_state = (t, output, total_output, arrivals, sequence)
-                on_tick(self, t)
-
-        self._tick_state = None
-        snapshot = None
-        if obs is not None:
-            run_timer.stop()
-            obs.counter("engine.matches").inc(total_output)
-            obs.counter("engine.output").inc(output)
-            obs.counter("async.arrivals").inc(arrivals)
-            for side in ("R", "S"):
-                for reason, count in drop_counts[side].items():
-                    obs.counter("engine.drops", side=side, reason=reason).inc(count)
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-
-        return AsyncRunResult(
-            output_count=output,
-            total_output_count=total_output,
-            ticks=len(r_batches),
-            arrivals=arrivals,
-            policy_name=self.policy_name,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=trace_events,
-        )
-
-    # ------------------------------------------------------------------
-    # the count-only EXACT lane
-    # ------------------------------------------------------------------
-    def _run_exact_counts(
-        self, r_batches: Sequence[Sequence], s_batches: Sequence[Sequence]
-    ) -> AsyncRunResult:
-        """Dictionary count arithmetic for policy-less time-window runs.
-
-        Dispatched from :meth:`run` when nothing needs per-tuple state:
-        no policy, no metrics, no tracer, no per-tick hook, no resume.
-        Sharded EXACT execution lands here — every shard is a policy-less
-        time-mode run over mostly-empty ticks — so the lane removes the
-        kernel, record allocation, and memory maintenance from the
-        sharding hot path while staying bit-identical (a regression gate
-        pins it to the kernel path).
-        """
-        from .batched import exact_tick_counts
-        from .results import DROP_EXPIRED, empty_side_drop_counts
-
-        config = self.config
-        self._kernel = None
-        self._obs = None
-        self._tracing = False
-        self._tick_state = None
-
-        output, total_output, arrivals, expired_r, expired_s = exact_tick_counts(
-            r_batches,
-            s_batches,
-            config.window,
-            config.warmup,
-            capacity=self.memory.capacity,
-            variable=self.memory.variable,
-        )
-        drop_counts = empty_side_drop_counts()
-        drop_counts["R"][DROP_EXPIRED] = expired_r
-        drop_counts["S"][DROP_EXPIRED] = expired_s
-        return AsyncRunResult(
-            output_count=output,
-            total_output_count=total_output,
-            ticks=len(r_batches),
-            arrivals=arrivals,
-            policy_name=self.policy_name,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
-        )
-
-    # ------------------------------------------------------------------
-    # the incremental source path
     # ------------------------------------------------------------------
     def run_stream(
         self,
@@ -433,12 +218,9 @@ class AsyncJoinEngine:
         :class:`~repro.streams.sources.Source` (a :class:`StreamPair` is
         adapted automatically) instead of materialized batch lists, and
         working state stays bounded by the window/memory budget, so
-        unbounded sources are safe.  Tick semantics are identical to
-        :meth:`run` — each tuple probes the opposite memory when
-        processed, R batch before S batch — and a
-        ``PairSource``-equivalent event stream produces bit-identical
-        results (counts, ledger, metrics totals) to
-        ``run(*batches_from_pair(pair))``.
+        unbounded sources are safe.  Both methods drive the same tick
+        loop, so an event stream equal to the batch lists produces
+        bit-identical results (counts, ledger, metrics totals).
 
         ``until`` bounds the tick count and ``stop()`` is polled each
         tick (either is required for an unbounded source); ``emit`` is a
@@ -446,7 +228,7 @@ class AsyncJoinEngine:
         rolling :class:`~repro.core.results.RunSummary` every
         ``on_summary_every`` ticks (default 4096).  ``on_tick`` works as
         in :meth:`run` (telemetry heartbeats; :meth:`progress` is valid
-        inside), but checkpoint/resume stays pair-path-only — an
+        inside), but checkpoint/resume stays with :meth:`run` — an
         interrupted source run is re-run from the start (sources are
         restartable by contract).
         """
@@ -464,22 +246,43 @@ class AsyncJoinEngine:
                 "unbounded source: pass until= and/or stop= to bound the run"
             )
         stride = on_summary_every or 4096
+        if on_tick is None and emit is None and self._counts_only():
+            return self._run_exact(iter(source), until, stop, on_summary, stride)
+        return self._run_ticks(
+            iter(source),
+            until=until,
+            emit=emit,
+            on_summary=on_summary,
+            stride=stride,
+            stop=stop,
+            on_tick=on_tick,
+            on_tick_every=on_tick_every,
+        )
 
+    # ------------------------------------------------------------------
+    # the tick loop
+    # ------------------------------------------------------------------
+    def _run_ticks(
+        self,
+        events,
+        *,
+        start_tick: int = 0,
+        resume: Optional[dict] = None,
+        until: Optional[int] = None,
+        emit=None,
+        on_summary=None,
+        stride: int = 4096,
+        stop=None,
+        on_tick=None,
+        on_tick_every: int = 1,
+    ) -> AsyncRunResult:
+        """The kernel-driven tick loop behind :meth:`run` and :meth:`run_stream`.
+
+        ``events`` yields the ``(r_keys, s_keys)`` batches of the ticks
+        from ``start_tick`` on (past a resumed checkpoint, ``resume``
+        holds the state to restore).
+        """
         config = self.config
-        obs = active_or_none(self.metrics)
-        tracer = tracing_or_none(self.trace)
-        if (
-            self._policy_r is None
-            and self._policy_s is None
-            and config.window_mode == "time"
-            and on_tick is None
-            and emit is None
-            and not config.validate
-            and obs is None
-            and tracer is None
-        ):
-            return self._run_exact_stream(source, until, stop, on_summary, stride)
-
         memory = self.memory
         window = config.window
         warmup = config.warmup
@@ -490,11 +293,13 @@ class AsyncJoinEngine:
         output = 0
         total_output = 0
         arrivals = 0
-        ticks = 0
-        sequence = {"R": 0, "S": 0}
+        sequence = {"R": 0, "S": 0}  # per-stream tuple counters (count mode)
 
+        obs = active_or_none(self.metrics)
+        tracer = tracing_or_none(self.trace)
         kernel = JoinKernel(memory, self._policy_r, self._policy_s, tracer=tracer)
         drop_counts = kernel.drop_counts
+        # Expiry reason names the window style that aged the tuple out.
         expire_reason = (
             REASON_WINDOW if config.window_mode == "time" else config.window_mode
         )
@@ -505,6 +310,23 @@ class AsyncJoinEngine:
         self._tracing = tracing
         self._tick_state = None
 
+        if resume is not None:
+            if tracing:
+                raise ValueError(
+                    "cannot resume a traced run (pre-failure events are gone)"
+                )
+            output = resume["output"]
+            total_output = resume["total_output"]
+            arrivals = resume["arrivals"]
+            sequence = dict(resume["sequence"])
+            restored = kernel.restore(resume["kernel"])
+            self._restore_policies(resume["policies"], restored)
+            if timed and resume.get("metrics"):
+                # Merge the checkpoint-time snapshot *before* grabbing
+                # instrument handles: merge_snapshot get-or-creates the
+                # same objects the handles below will extend.
+                obs.merge_snapshot(resume["metrics"])
+
         if timed:
             run_timer = Timer()
             run_timer.start()
@@ -512,12 +334,26 @@ class AsyncJoinEngine:
             occupancy_s = obs.series("engine.occupancy", side="S")
             batch_size = obs.histogram("async.batch_size")
 
-        hook_next = 0 if on_tick is not None else -1
+        # The hook fires where t % on_tick_every == 0, tracked as a
+        # next-tick pointer: one int compare per tick instead of a
+        # modulo, and -1 (never matches) when there is no hook at all.
+        # The first grid tick at or after start_tick keeps it resume-safe.
+        hook_next = -1
+        if on_tick is not None:
+            hook_next = start_tick + (-start_tick % on_tick_every)
 
-        # Same lane gate as :meth:`run` (see the comment there): bulk
-        # probes are exact for policy-less sides and for fixed-mode,
-        # non-observing policies; ``emit`` needs per-pair results, so it
-        # forces the per-tuple path regardless.
+        # Untraced sides take the kernel's batch operations (bulk probe
+        # over the per-key group index; bulk insert with one capacity
+        # check per chunk when no policy is attached, else per-tuple
+        # contests inside :meth:`JoinKernel.insert_batch`).  Bulk probes
+        # read the *opposite* memory, so hoisting them above the batch's
+        # insertions is exact as long as those insertions cannot touch
+        # the opposite side: fixed-allocation victims are own-side, but
+        # a shared pool (variable) or an arrival-observing estimator
+        # would make probe results order-dependent — those stay
+        # per-tuple, as do tracers (event order), count-mode windows
+        # (expiry interleaves inside the batch), and ``emit`` (it needs
+        # per-pair results).
         batch_ops = (
             not tracing
             and not count_mode
@@ -528,15 +364,13 @@ class AsyncJoinEngine:
             )
         )
 
-        from ..streams.tuples import JoinResultTuple
-
-        for t, (r_event, s_event) in enumerate(iter(source)):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
+        t = start_tick - 1
+        for t, (r_event, s_event) in enumerate(
+            bounded_events(events, until, stop), start_tick
+        ):
             if landmark_mode:
                 if t > 0 and t % config.landmark_every == 0:
+                    # A new landmark: the whole window state resets.
                     kernel.expire(t, t, reason=expire_reason)
             elif not count_mode:
                 kernel.expire(t - window, t, reason=expire_reason)
@@ -552,7 +386,6 @@ class AsyncJoinEngine:
                             output += matches
                         kernel.insert_batch(stream, batch, t)
                     continue
-                other = memory.other_side(stream)
                 for key in batch:
                     arrivals += 1
                     kernel.observe(stream, key, t)
@@ -564,14 +397,14 @@ class AsyncJoinEngine:
                     if t >= warmup:
                         output += matches
                         if emit is not None and matches:
-                            if stream == "R":
-                                for partner in other.matches(key):
+                            for partner in memory.other_side(stream).matches(key):
+                                if stream == "R":
                                     emit(JoinResultTuple(t, partner.arrival, key))
-                            else:
-                                for partner in other.matches(key):
+                                else:
                                     emit(JoinResultTuple(partner.arrival, t, key))
 
                     if count_mode:
+                        # The tuple's own arrival pushes the count window.
                         sequence[stream] += 1
                         kernel.expire(
                             sequence[stream] - window, t,
@@ -590,8 +423,7 @@ class AsyncJoinEngine:
             if config.validate:
                 self._check_invariants(t)
 
-            ticks = t + 1
-            if on_summary is not None and ticks % stride == 0:
+            if on_summary is not None and (t + 1) % stride == 0:
                 on_summary(RunSummary(
                     engine="async",
                     policy_name=self.policy_name,
@@ -601,12 +433,15 @@ class AsyncJoinEngine:
 
             if t == hook_next:
                 hook_next = t + on_tick_every
+                # `sequence` is stored by reference: the state is only
+                # valid inside the hook call, before the next mutation,
+                # so checkpoint() copies it lazily on demand.
                 self._tick_state = (t, output, total_output, arrivals, sequence)
                 on_tick(self, t)
 
         self._tick_state = None
         snapshot = None
-        if obs is not None:
+        if timed:
             run_timer.stop()
             obs.counter("engine.matches").inc(total_output)
             obs.counter("engine.output").inc(output)
@@ -617,32 +452,47 @@ class AsyncJoinEngine:
             obs.record_phase("engine/run", run_timer.seconds)
             snapshot = obs.snapshot()
 
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-
         return AsyncRunResult(
             output_count=output,
             total_output_count=total_output,
-            ticks=ticks,
+            ticks=t + 1,
             arrivals=arrivals,
             policy_name=self.policy_name,
             drop_counts=drop_counts,
             metrics=snapshot,
-            trace=trace_events,
+            trace=tracer.collect() if tracing else None,
         )
 
-    def _run_exact_stream(
-        self, source, until, stop, on_summary, stride
-    ) -> AsyncRunResult:
-        """Streaming analogue of :meth:`_run_exact_counts`.
+    # ------------------------------------------------------------------
+    # the count-only EXACT lane
+    # ------------------------------------------------------------------
+    def _counts_only(self) -> bool:
+        """Whether a run reduces to count arithmetic: no policy, a time
+        window, no validation, metrics, or tracer (the callers add their
+        own per-tick hooks to the check)."""
+        return (
+            self._policy_r is None
+            and self._policy_s is None
+            and self.config.window_mode == "time"
+            and not self.config.validate
+            and active_or_none(self.metrics) is None
+            and tracing_or_none(self.trace) is None
+        )
 
-        Policy-less, uninstrumented, unhooked time-window source runs
-        reduce to :func:`repro.core.batched.exact_stream_counts` —
-        bounded dictionary state for arbitrarily long streams.
+    def _run_exact(
+        self, events, until=None, stop=None, on_summary=None, stride=4096
+    ) -> AsyncRunResult:
+        """Dictionary count arithmetic for policy-less time-window runs.
+
+        Dispatched from :meth:`run` and :meth:`run_stream` when nothing
+        needs per-tuple state (see :meth:`_counts_only`); runs
+        :func:`repro.core.batched.exact_stream_counts`, which removes the
+        kernel, record allocation, and memory maintenance from the
+        sharding hot path and keeps bounded state for arbitrarily long
+        streams, while staying bit-identical (a regression gate pins it
+        to the kernel path).
         """
         from .batched import exact_stream_counts
-        from .results import DROP_EXPIRED, empty_side_drop_counts
 
         config = self.config
         self._kernel = None
@@ -664,7 +514,7 @@ class AsyncJoinEngine:
 
         output, total_output, arrivals, expired_r, expired_s, ticks = (
             exact_stream_counts(
-                iter(source),
+                events,
                 config.window,
                 config.warmup,
                 capacity=self.memory.capacity,
@@ -675,18 +525,13 @@ class AsyncJoinEngine:
                 progress_every=stride if on_summary is not None else 0,
             )
         )
-        drop_counts = empty_side_drop_counts()
-        drop_counts["R"][DROP_EXPIRED] = expired_r
-        drop_counts["S"][DROP_EXPIRED] = expired_s
         return AsyncRunResult(
             output_count=output,
             total_output_count=total_output,
             ticks=ticks,
             arrivals=arrivals,
             policy_name=self.policy_name,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
+            drop_counts=side_drop_counts(expired=(expired_r, expired_s)),
         )
 
     # ------------------------------------------------------------------
@@ -784,21 +629,3 @@ class AsyncJoinEngine:
             if memory.r.size > half or memory.s.size > half:
                 raise AssertionError(f"tick {now}: a side exceeds its budget")
 
-
-def batches_from_pair(pair: StreamPair) -> tuple[list[list], list[list]]:
-    """The synchronous workload as one-tuple-per-tick batches.
-
-    .. deprecated::
-        This materializes both streams positionally (``pair.r`` /
-        ``pair.s``) into per-tick lists — the contract the source
-        refactor removes.  Run
-        ``engine.run_stream(PairSource(pair))`` instead; it is
-        bit-identical and does not copy the streams.
-    """
-    warnings.warn(
-        "batches_from_pair is deprecated; use "
-        "AsyncJoinEngine.run_stream(PairSource(pair)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [[key] for key in pair.r], [[key] for key in pair.s]

@@ -41,6 +41,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..streams.batches import StreamChunk
+from ..streams.sources import bounded_events
 from .batched_policies import (
     LaneTotals,
     lane_kind_for_policies,
@@ -152,94 +153,21 @@ def exact_tick_counts(
 ) -> tuple[int, int, int, int, int]:
     """Run the asynchronous EXACT join over per-tick arrival batches.
 
-    Semantics of ``AsyncJoinEngine.run`` in time-window mode with a
-    ``None`` policy: per tick — expire ``arrival <= t - window`` on both
-    sides, then process the R batch and then the S batch, each tuple
-    probing the opposite counts when processed (so a same-tick pair is
-    found by the later-processed partner, and R arrivals of tick ``t``
-    are visible to tick ``t``'s S probes).
-
-    Unlike the synchronous lane, bursts can overflow the budget, so
-    inserts check capacity exactly where :meth:`JoinKernel.insert`
-    would and raise ``overflow_error`` with the kernel's message.
+    :func:`exact_stream_counts` over ``zip(r_batches, s_batches)``: the
+    semantics of ``AsyncJoinEngine.run`` in time-window mode with a
+    ``None`` policy, including the capacity checks and the overflow
+    error a burst can trigger.
 
     Returns ``(output, total_output, arrivals, expired_r, expired_s)``.
     """
-    r_counts: dict = {}
-    s_counts: dict = {}
-    # Per-side expiry queues of (arrival, key); arrivals enter in tick
-    # order, so expiry only inspects the front.
-    r_queue: deque = deque()
-    s_queue: deque = deque()
-
-    output = 0
-    total_output = 0
-    arrivals = 0
-    expired_r = 0
-    expired_s = 0
-    r_size = 0
-    s_size = 0
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-    half = capacity // 2
-
-    ticks = len(r_batches)
-    for t in range(ticks):
-        horizon = t - window
-        if horizon >= 0:  # earliest arrival is 0; skip warm-start ticks
-            while r_queue and r_queue[0][0] <= horizon:
-                _, key = r_queue.popleft()
-                remaining = r_counts[key] - 1
-                if remaining:
-                    r_counts[key] = remaining
-                else:
-                    del r_counts[key]
-                expired_r += 1
-                r_size -= 1
-            while s_queue and s_queue[0][0] <= horizon:
-                _, key = s_queue.popleft()
-                remaining = s_counts[key] - 1
-                if remaining:
-                    s_counts[key] = remaining
-                else:
-                    del s_counts[key]
-                expired_s += 1
-                s_size -= 1
-
-        batch = r_batches[t]
-        if batch:
-            for key in batch:
-                arrivals += 1
-                matches = s_get(key, 0)
-                total_output += matches
-                if t >= warmup:
-                    output += matches
-                if (r_size + s_size >= capacity) if variable else (r_size >= half):
-                    raise overflow_error(
-                        f"memory overflow at t={t} with no shedding policy "
-                        f"(capacity {capacity})"
-                    )
-                r_counts[key] = r_get(key, 0) + 1
-                r_queue.append((t, key))
-                r_size += 1
-        batch = s_batches[t]
-        if batch:
-            for key in batch:
-                arrivals += 1
-                matches = r_get(key, 0)
-                total_output += matches
-                if t >= warmup:
-                    output += matches
-                if (r_size + s_size >= capacity) if variable else (s_size >= half):
-                    raise overflow_error(
-                        f"memory overflow at t={t} with no shedding policy "
-                        f"(capacity {capacity})"
-                    )
-                s_counts[key] = s_get(key, 0) + 1
-                s_queue.append((t, key))
-                s_size += 1
-
+    output, total_output, arrivals, expired_r, expired_s, _ = exact_stream_counts(
+        zip(r_batches, s_batches),
+        window,
+        warmup,
+        capacity=capacity,
+        variable=variable,
+        overflow_error=overflow_error,
+    )
     return output, total_output, arrivals, expired_r, expired_s
 
 
@@ -257,14 +185,19 @@ def exact_stream_counts(
     on_progress: Optional[Callable] = None,
     progress_every: int = 0,
 ) -> tuple[int, int, int, int, int, int]:
-    """Run the EXACT join incrementally over a source's event iterator.
+    """Run the EXACT join incrementally over per-tick arrival batches.
 
-    The bounded-memory analogue of :func:`exact_tick_counts`: ``events``
-    yields per-tick ``(r_keys, s_keys)`` arrival batches (a
-    :class:`repro.streams.sources.Source` iterator), which may be
-    unbounded — working state is two count dicts plus two expiry queues,
-    all bounded by the window contents, never by stream length.  This is
-    the lane ``make soak`` exercises.
+    ``events`` yields per-tick ``(r_keys, s_keys)`` arrival batches (a
+    :class:`repro.streams.sources.Source` iterator, or zipped batch
+    lists), which may be unbounded — working state is two count dicts
+    plus two expiry queues, all bounded by the window contents, never by
+    stream length.  Per tick: expire ``arrival <= t - window`` on both
+    sides, then process the R batch and then the S batch, each tuple
+    probing the opposite counts when processed.  Bursts can overflow the
+    budget, so inserts check capacity exactly where
+    :meth:`JoinKernel.insert` would and raise ``overflow_error`` with the
+    kernel's message.  This is the lane ``make soak`` exercises and the
+    one every sharded EXACT shard runs.
 
     Counting is order-equivalent for both engines' EXACT semantics: R
     arrivals are probed against resident S then admitted before the S
@@ -284,8 +217,13 @@ def exact_stream_counts(
     """
     r_counts: dict = {}
     s_counts: dict = {}
-    r_queue: deque = deque()
-    s_queue: deque = deque()
+    # One expiry queue for both sides, of (expiry tick, key, the side's
+    # counts): arrivals enter in tick order, so the front expires first,
+    # and ``next_expiry`` (never later than the front) lets the ticks
+    # with nothing to expire skip the queue with one compare — most
+    # ticks of a shard, which sees a fraction of the arrivals.
+    queue: deque = deque()
+    next_expiry = window
 
     output = 0
     total_output = 0
@@ -294,37 +232,31 @@ def exact_stream_counts(
     expired_s = 0
     r_size = 0
     s_size = 0
-    ticks = 0
 
     r_get = r_counts.get
     s_get = s_counts.get
     half = capacity // 2
+    subtract_cross = not count_simultaneous
+    next_progress = progress_every - 1 if progress_every and on_progress else -1
 
-    for t, (r_batch, s_batch) in enumerate(events):
-        if until is not None and t >= until:
-            break
-        if stop is not None and stop():
-            break
-        horizon = t - window
-        if horizon >= 0:
-            while r_queue and r_queue[0][0] <= horizon:
-                _, key = r_queue.popleft()
-                remaining = r_counts[key] - 1
+    t = -1
+    for t, (r_batch, s_batch) in enumerate(bounded_events(events, until, stop)):
+        if t >= next_expiry:
+            while queue and queue[0][0] <= t:
+                _, key, counts = queue.popleft()
+                remaining = counts[key] - 1
                 if remaining:
-                    r_counts[key] = remaining
+                    counts[key] = remaining
                 else:
-                    del r_counts[key]
-                expired_r += 1
-                r_size -= 1
-            while s_queue and s_queue[0][0] <= horizon:
-                _, key = s_queue.popleft()
-                remaining = s_counts[key] - 1
-                if remaining:
-                    s_counts[key] = remaining
+                    del counts[key]
+                if counts is r_counts:
+                    expired_r += 1
+                    r_size -= 1
                 else:
-                    del s_counts[key]
-                expired_s += 1
-                s_size -= 1
+                    expired_s += 1
+                    s_size -= 1
+            # This tick's arrivals expire at t + window at the earliest.
+            next_expiry = queue[0][0] if queue else t + window
 
         if r_batch:
             for key in r_batch:
@@ -339,7 +271,7 @@ def exact_stream_counts(
                         f"(capacity {capacity})"
                     )
                 r_counts[key] = r_get(key, 0) + 1
-                r_queue.append((t, key))
+                queue.append((t + window, key, r_counts))
                 r_size += 1
         if s_batch:
             for key in s_batch:
@@ -354,9 +286,9 @@ def exact_stream_counts(
                         f"(capacity {capacity})"
                     )
                 s_counts[key] = s_get(key, 0) + 1
-                s_queue.append((t, key))
+                queue.append((t + window, key, s_counts))
                 s_size += 1
-        if not count_simultaneous and r_batch and s_batch:
+        if subtract_cross and r_batch and s_batch:
             # The synchronous engine's top path is optional; the insert
             # order above already counted every same-tick pair, so take
             # them back out.
@@ -367,9 +299,9 @@ def exact_stream_counts(
             total_output -= cross
             if t >= warmup:
                 output -= cross
-        ticks = t + 1
 
-        if progress_every and ticks % progress_every == 0 and on_progress is not None:
+        if t == next_progress:
+            next_progress += progress_every
             on_progress(t, output, total_output, arrivals, expired_r, expired_s)
 
-    return output, total_output, arrivals, expired_r, expired_s, ticks
+    return output, total_output, arrivals, expired_r, expired_s, t + 1

@@ -58,7 +58,7 @@ only exact policy types in their static configuration (RAND with the
 default newcomer-inclusive draw, PROB/LIFE with frozen
 :class:`~repro.stats.frequency.StaticFrequencyTable` estimators).
 Online estimators, ARM/FIFO, tracers, and schedules keep the per-tuple
-paths.
+loops (``JoinEngine._run_fast`` or the kernel tick loop).
 """
 
 from __future__ import annotations

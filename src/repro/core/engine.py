@@ -26,7 +26,7 @@ record therefore covers probe events ``arrival + 1 .. t``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Union
+from typing import Optional, Union
 
 from ..obs import Timer, active_or_none
 from ..obs.trace import (
@@ -36,20 +36,18 @@ from ..obs.trace import (
     TraceEvent,
     tracing_or_none,
 )
-from ..streams.sources import PairSource, Source, as_source
+from ..streams.sources import PairSource, Source, as_source, bounded_events
 from ..streams.tuples import JoinResultTuple, StreamPair
 from .kernel import JoinKernel
 from .memory import JoinMemory, TupleRecord
 from .policies import SidePolicies, resolve_policy_spec
 from .policies.base import EvictionPolicy, arrival_observers
 from .results import (
-    DROP_EVICTED,
-    DROP_EXPIRED,
     DROP_REJECTED,
     BaseRunResult,
     DropBreakdown,
     RunSummary,
-    empty_side_drop_counts,
+    side_drop_counts,
 )
 
 #: Accepted policy specs: ``None`` / ``EvictionPolicy`` /
@@ -60,6 +58,14 @@ PolicySpec = Union[None, EvictionPolicy, SidePolicies]
 
 class CapacityExceededError(RuntimeError):
     """Raised when a policy-less (exact) run overflows its memory."""
+
+
+def _as_schedule(schedule):
+    """A memory/window schedule as ``t -> value``: callables pass
+    through, sequences are indexed by tick."""
+    if schedule is None or callable(schedule):
+        return schedule
+    return schedule.__getitem__
 
 
 @dataclass
@@ -105,18 +111,12 @@ class EngineConfig:
         one arrives*.  Survival tracking is unsupported in this mode
         (per-tuple lifetimes become schedule-dependent); LIFE's
         priorities use the initial window as its lifetime scale.
-    profile:
-        With a metrics registry attached, collect the *detailed*
-        instrumentation: per-phase (expire/probe/admit) wall-clock
-        timers and occupancy series at ``share_sample_every`` cadence.
-        Off by default — the default metrics mode batches everything
-        into end-of-run counter flushes plus occupancy samples every
-        ``metrics_sample_every`` ticks, keeping the instrumented run
-        within a few percent of the uninstrumented one.
     metrics_sample_every:
-        Tick cadence of the occupancy/memory-share series in the
-        default (non-``profile``) metrics mode; ``None`` picks
-        ``max(1, window // 8)``.
+        Tick cadence of the occupancy/memory-share series of an
+        instrumented run, in every loop and lane; ``None`` picks
+        ``max(1, window // 8)``.  Everything else is flushed into
+        counters once at the end of the run, keeping the instrumented
+        run within a few percent of the uninstrumented one.
     batch_size:
         Enable the columnar micro-batch fast path with this chunk size
         (``None``, the default, keeps the per-tuple loops).  Batching is
@@ -125,13 +125,13 @@ class EngineConfig:
         lane (no policy, lossless budget) and the vectorized policy
         lanes for RAND, PROB, and LIFE with static probability tables
         (fixed or variable allocation) — and silently falls back to the
-        per-tuple path whenever a tracer, schedule, validation hook,
+        per-tuple loops whenever a tracer, schedule, validation hook,
         arrival observer (online estimators), or an uncovered policy
         (ARM, FIFO) needs tuple granularity.  Results are bit-identical
         either way.
     force_general:
-        Route the run through the general per-tick loop even when the
-        fast path would apply (benchmarking only: lets overhead
+        Route a pair run through the kernel-driven tick loop even when
+        the fast loop would apply (benchmarking only: lets overhead
         comparisons pin both sides to the same execution lane).
     validate:
         Run per-tick invariant checks (tests only; slow).
@@ -148,7 +148,6 @@ class EngineConfig:
     track_survival: bool = True
     memory_schedule: Optional[object] = None
     window_schedule: Optional[object] = None
-    profile: bool = False
     metrics_sample_every: Optional[int] = None
     batch_size: Optional[int] = None
     force_general: bool = False
@@ -233,8 +232,8 @@ class JoinEngine:
           policy per side (requires fixed allocation).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; when given, the
-        run records probe/admission/drop counters, per-tick occupancy
-        and memory-share series, and hot-loop phase timings, and the
+        run records probe/admission/drop counters, sampled occupancy
+        and memory-share series, and the run's wall-clock time, and the
         snapshot is attached to the result.  ``None`` (the default)
         keeps the hot path uninstrumented.
     trace:
@@ -258,7 +257,7 @@ class JoinEngine:
         self.memory = JoinMemory(config.memory, variable=config.variable)
         self.metrics = metrics
         self.trace = trace
-        self._kernel = None  # live only while the general loop executes
+        self._kernel = None  # live only while the kernel loop executes
 
         resolved = resolve_policy_spec(policy, self.memory, variable=config.variable)
         self._policy_r = resolved.r
@@ -279,9 +278,10 @@ class JoinEngine:
 
         Implemented as ``run_stream(PairSource(pair))``: the pair is one
         particular source, and :meth:`run_stream` routes a plain
-        ``PairSource`` with no streaming options to the historical
-        pair-path loops — results are bit-identical to the pre-source
-        engine (a regression test pins them).
+        ``PairSource`` with no streaming options to the pair path
+        (:meth:`_run_pair`), which adds survival records and the other
+        per-arrival features — a regression test pins the two paths to
+        each other.
         """
         return self.run_stream(PairSource(pair))
 
@@ -302,8 +302,7 @@ class JoinEngine:
         :class:`~repro.streams.sources.Source` protocol (or a
         :class:`StreamPair`, adapted automatically).  A plain
         :class:`~repro.streams.sources.PairSource` with none of the
-        streaming options takes the historical pair-path loops
-        (:meth:`_run_pair`), bit-identical to the pre-source engine;
+        streaming options takes the pair path (:meth:`_run_pair`);
         everything else runs the *incremental* path, whose working state
         is bounded by the window/memory budget — never by stream length
         — so unbounded sources are safe.
@@ -332,8 +331,8 @@ class JoinEngine:
         tick (against resident state, plus the same-tick cross pairs the
         top path contributes), then admissions R-batch-first.  Survival
         tracking and the pair-only features (``materialize``,
-        ``track_shares``, schedules, ``profile``) are unsupported here —
-        they hold per-arrival state, which an unbounded stream forbids.
+        ``track_shares``, schedules) are unsupported here — they hold
+        per-arrival state, which an unbounded stream forbids.
         """
         source = as_source(source)
         if until is not None and until < 0:
@@ -359,7 +358,6 @@ class JoinEngine:
                 ("track_shares", config.track_shares),
                 ("memory_schedule", config.memory_schedule is not None),
                 ("window_schedule", config.window_schedule is not None),
-                ("profile", config.profile),
             )
             if active
         ]
@@ -398,33 +396,43 @@ class JoinEngine:
         ):
             kind = self._policy_lane_kind()
             if kind is not None:
-                return self._run_policy_stream(source, until, stop, kind)
-        return self._run_incremental(
-            source, obs, tracer, until, emit, on_summary, stride, stop
+                return self._run_policy_batched(
+                    self._chunks_from_source(source, until, stop, config.batch_size),
+                    kind,
+                )
+        return self._run_kernel(
+            source,
+            obs,
+            tracer,
+            until=until,
+            emit=emit,
+            on_summary=on_summary,
+            stride=stride,
+            stop=stop,
         )
 
     # ------------------------------------------------------------------
     def _run_pair(self, pair: StreamPair) -> RunResult:
         """The materialized pair path (see :meth:`run`).
 
-        Dispatches to one of two loop implementations with identical
-        semantics (a regression test pins them to each other):
+        Dispatches to one of two loops with identical semantics (a
+        regression test pins them to each other):
 
-        * the *fast loop* — the throughput path, with probes and
-          admissions inlined, counters batched into plain ints, and (if
-          a metrics registry is attached) instrumentation reduced to
-          end-of-run flushes plus sampled occupancy series;
-        * the *general loop* — tracing, time-varying budgets/windows,
-          result materialisation, share tracking, per-tick invariant
-          checks, and ``profile`` metrics (per-phase timers) all run
-          here.
+        * the *fast loop* (:meth:`_run_fast`) — the throughput path,
+          with probes and admissions inlined, counters batched into
+          plain ints, and (if a metrics registry is attached)
+          instrumentation reduced to end-of-run flushes plus sampled
+          occupancy series;
+        * the *kernel loop* (:meth:`_run_kernel`, the same loop the
+          source path runs) — tracing, time-varying budgets/windows,
+          result materialisation, share tracking, and per-tick
+          invariant checks all run here.
 
-        With ``config.batch_size`` set, eligible configurations take a
-        third implementation — the *columnar batched lanes*
-        (:meth:`_run_exact_batched` for policy-less lossless runs,
-        :meth:`_run_policy_batched` for RAND/PROB/LIFE with static
-        probability tables); see :attr:`EngineConfig.batch_size` for the
-        fallback matrix.
+        With ``config.batch_size`` set, eligible configurations take the
+        *columnar batched lanes* instead (:meth:`_run_exact_batched` for
+        policy-less lossless runs, :meth:`_run_policy_batched` for
+        RAND/PROB/LIFE with static probability tables); see
+        :attr:`EngineConfig.batch_size` for the fallback matrix.
         """
         config = self.config
         obs = active_or_none(self.metrics)
@@ -436,7 +444,6 @@ class JoinEngine:
             and not config.materialize
             and not config.track_shares
             and not config.validate
-            and not (config.profile and obs is not None)
             and not config.force_general
         ):
             if config.batch_size is not None:
@@ -449,9 +456,16 @@ class JoinEngine:
                     return self._run_exact_batched(pair, obs)
                 kind = self._policy_lane_kind()
                 if kind is not None:
-                    return self._run_policy_batched(pair, obs, kind)
+                    from ..streams.batches import encode_chunks
+
+                    return self._run_policy_batched(
+                        encode_chunks(pair, config.batch_size),
+                        kind,
+                        length=len(pair),
+                        obs=obs,
+                    )
             return self._run_fast(pair, obs)
-        return self._run_general(pair, obs, tracer)
+        return self._run_kernel(PairSource(pair), obs, tracer, pair_length=len(pair))
 
     # ------------------------------------------------------------------
     def _run_fast(self, pair: StreamPair, obs) -> RunResult:
@@ -506,10 +520,7 @@ class JoinEngine:
         if timed:
             run_timer = Timer()
             run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
+            sample, sample_every = self._occupancy_sampler(obs)
         else:
             sample_every = 0
 
@@ -632,12 +643,7 @@ class JoinEngine:
                     policy_s.on_admit(record, t)
 
             if sample_every and not t % sample_every:
-                r_size = len(r_slots)
-                s_size = len(s_slots)
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
+                sample(t, len(r_slots), len(s_slots))
 
         # Tuples still resident at stream end would have served their
         # full window; record the counterfactual natural departure.
@@ -648,35 +654,18 @@ class JoinEngine:
                         r_departures, s_departures, record, record.arrival + window - 1
                     )
 
-        drop_counts = {
-            "R": {DROP_REJECTED: rej_r, DROP_EVICTED: ev_r, DROP_EXPIRED: exp_r},
-            "S": {DROP_REJECTED: rej_s, DROP_EVICTED: ev_s, DROP_EXPIRED: exp_s},
-        }
-
+        drop_counts = side_drop_counts(
+            rejected=(rej_r, rej_s), evicted=(ev_r, ev_s), expired=(exp_r, exp_s)
+        )
         snapshot = None
         if timed:
-            run_timer.stop()
-            self._flush_metrics(
-                obs, length, total_output, simultaneous_total, output, drop_counts
+            snapshot = self._finish_metrics(
+                obs, run_timer, (length, length), total_output,
+                simultaneous_total, output, drop_counts,
             )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        return self._result(
+            output, total_output, length, drop_counts,
+            r_departures=r_departures, s_departures=s_departures, metrics=snapshot,
         )
 
     # ------------------------------------------------------------------
@@ -696,8 +685,6 @@ class JoinEngine:
 
         config = self.config
         window = config.window
-        warmup = config.warmup
-        assert warmup is not None
         length = len(pair)
 
         timed = obs is not None
@@ -708,17 +695,14 @@ class JoinEngine:
         output, total_output, simultaneous_total, _ = exact_chunk_counts(
             encode_chunks(pair, config.batch_size),
             window,
-            warmup,
+            config.warmup,
             count_simultaneous=config.count_simultaneous,
         )
 
         # EXACT never rejects or evicts; each side expires exactly the
         # arrivals older than the final window.
         expired = max(0, length - window)
-        drop_counts = {
-            "R": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: expired},
-            "S": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: expired},
-        }
+        drop_counts = side_drop_counts(expired=(expired, expired))
         # Every tuple serves its full window: natural departure at
         # arrival + w - 1, for the expired and the end-resident alike.
         r_departures = s_departures = None
@@ -730,38 +714,19 @@ class JoinEngine:
         if timed:
             # After tick t's admissions each side holds min(t+1, window)
             # residents — the same samples the per-tuple loop records.
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
+            sample, sample_every = self._occupancy_sampler(obs)
             for t in range(0, length, sample_every):
                 size = min(t + 1, window)
-                occupancy_r.append(t, size)
-                occupancy_s.append(t, size)
-                share_series.append(t, 0.5)
-            run_timer.stop()
-            self._flush_metrics(
-                obs, length, total_output, simultaneous_total, output,
-                drop_counts, final_occupancy=min(length, window),
+                sample(t, size, size)
+            resident = min(length, window)
+            snapshot = self._finish_metrics(
+                obs, run_timer, (length, length), total_output,
+                simultaneous_total, output, drop_counts,
+                final_occupancy=(resident, resident),
             )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        return self._result(
+            output, total_output, length, drop_counts,
+            r_departures=r_departures, s_departures=s_departures, metrics=snapshot,
         )
 
     # ------------------------------------------------------------------
@@ -782,19 +747,48 @@ class JoinEngine:
         )
 
     # ------------------------------------------------------------------
-    def _run_policy_lane(
-        self, chunks, kind, r_departures, s_departures, sampler, sample_every
-    ):
-        """Dispatch chunks into the matching policy lane (see
-        :mod:`repro.core.batched_policies`), feeding it the policies'
-        own state: RAND's generators, PROB/LIFE's static
-        partner-probability tables."""
+    def _run_policy_batched(
+        self, chunks, kind: str, *, length: Optional[int] = None, obs=None
+    ) -> RunResult:
+        """The columnar policy lanes (see :meth:`run` and :meth:`run_stream`).
+
+        RAND/PROB/LIFE runs with static probability tables collapse to
+        flat per-chunk state (count dicts, key rings, priority heaps,
+        per-key aggregate cells) — no :class:`TupleRecord` allocation,
+        no policy method dispatch — fed the policies' own state: RAND's
+        generators, PROB/LIFE's static partner-probability tables (see
+        :mod:`repro.core.batched_policies`).  Output, drop ledger,
+        survival departures, and metrics are bit-identical to
+        :meth:`_run_fast`; ``benchmarks/bench_policy_batch.py`` pins the
+        contract.
+
+        ``chunks`` is ``encode_chunks(pair, …)`` on the pair path, which
+        passes the pair's ``length`` (survival records) and its metrics
+        registry ``obs`` (occupancy sampling), or
+        :meth:`_chunks_from_source` for a unit-rate source, whose
+        working state stays ``O(window + batch_size)``.
+        """
         from .batched import life_chunk_run, prob_chunk_run, rand_chunk_run
 
         config = self.config
         memory = self.memory
-        warmup = config.warmup
-        assert warmup is not None
+        window = config.window
+
+        r_departures = s_departures = None
+        if length is not None and config.track_survival:
+            # Natural departures cover the expired and the end-resident;
+            # the lane overwrites only the rejected (t) and the evicted
+            # (eviction tick) — same arrays the per-tuple loop builds.
+            r_departures = [arrival + window - 1 for arrival in range(length)]
+            s_departures = list(r_departures)
+
+        sampler = None
+        sample_every = 0
+        if obs is not None:
+            run_timer = Timer()
+            run_timer.start()
+            sampler, sample_every = self._occupancy_sampler(obs)
+
         common = dict(
             capacity=memory.capacity,
             variable=memory.variable,
@@ -805,210 +799,67 @@ class JoinEngine:
             sample_every=sample_every,
         )
         if kind == "rand":
-            return rand_chunk_run(
+            totals = rand_chunk_run(
                 chunks,
-                config.window,
-                warmup,
+                window,
+                config.warmup,
                 rng_r=self._policy_r._rng,
                 rng_s=None if memory.variable else self._policy_s._rng,
                 **common,
             )
-        if memory.variable:
-            probs = self._policy_r._partner_probs
-            probs_r = probs["R"]
-            probs_s = probs["S"]
         else:
-            probs_r = self._policy_r._partner_probs["R"]
-            probs_s = self._policy_s._partner_probs["S"]
-        lane = prob_chunk_run if kind == "prob" else life_chunk_run
-        return lane(
-            chunks,
-            config.window,
-            warmup,
-            probs_r=probs_r,
-            probs_s=probs_s,
-            **common,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_policy_batched(self, pair: StreamPair, obs, kind: str) -> RunResult:
-        """The columnar policy lane of the pair path (see :meth:`run`).
-
-        RAND/PROB/LIFE runs with static probability tables collapse to
-        flat per-chunk state (count dicts, key rings, priority heaps,
-        per-key aggregate cells) — no :class:`TupleRecord` allocation,
-        no policy method dispatch.  Output, drop ledger, survival
-        departures, and metrics are bit-identical to :meth:`_run_fast`;
-        ``benchmarks/bench_policy_batch.py`` pins the contract.
-        """
-        from ..streams.batches import encode_chunks
-
-        config = self.config
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-        length = len(pair)
-
-        r_departures = s_departures = None
-        if config.track_survival:
-            # Natural departures cover the expired and the end-resident;
-            # the lane overwrites only the rejected (t) and the evicted
-            # (eviction tick) — same arrays the per-tuple loop builds.
-            r_departures = [arrival + window - 1 for arrival in range(length)]
-            s_departures = list(r_departures)
-
-        timed = obs is not None
-        sampler = None
-        sample_every = 0
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
-
-            def sampler(t, r_size, s_size):
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-        totals = self._run_policy_lane(
-            encode_chunks(pair, config.batch_size),
-            kind,
-            r_departures,
-            s_departures,
-            sampler,
-            sample_every,
-        )
-
-        drop_counts = {
-            "R": {
-                DROP_REJECTED: totals.rej_r,
-                DROP_EVICTED: totals.ev_r,
-                DROP_EXPIRED: totals.exp_r,
-            },
-            "S": {
-                DROP_REJECTED: totals.rej_s,
-                DROP_EVICTED: totals.ev_s,
-                DROP_EXPIRED: totals.exp_s,
-            },
-        }
-
-        snapshot = None
-        if timed:
-            run_timer.stop()
-            self._flush_metrics(
-                obs,
-                length,
-                totals.total_output,
-                totals.simultaneous_total,
-                totals.output,
-                drop_counts,
-                final_occupancy=(totals.r_size, totals.s_size),
+            # A shared pool wires one instance to both sides, so each
+            # side's table comes from its own policy either way.
+            lane = prob_chunk_run if kind == "prob" else life_chunk_run
+            totals = lane(
+                chunks,
+                window,
+                config.warmup,
+                probs_r=self._policy_r._partner_probs["R"],
+                probs_s=self._policy_s._partner_probs["S"],
+                **common,
             )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
 
-        return RunResult(
-            output_count=totals.output,
-            total_output_count=totals.total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=None,
+        drop_counts = side_drop_counts(
+            rejected=(totals.rej_r, totals.rej_s),
+            evicted=(totals.ev_r, totals.ev_s),
+            expired=(totals.exp_r, totals.exp_s),
+        )
+        snapshot = None
+        if obs is not None:
+            snapshot = self._finish_metrics(
+                obs, run_timer, (totals.length, totals.length),
+                totals.total_output, totals.simultaneous_total, totals.output,
+                drop_counts, final_occupancy=(totals.r_size, totals.s_size),
+            )
+        return self._result(
+            totals.output, totals.total_output, totals.length, drop_counts,
+            r_departures=r_departures, s_departures=s_departures, metrics=snapshot,
         )
 
     # ------------------------------------------------------------------
     def _chunks_from_source(self, source, until, stop, batch_size):
         """Re-chunk a unit-rate source into :class:`StreamChunk` columns.
 
-        Polls ``until``/``stop`` at each tick boundary — the same tick
-        set :meth:`_run_incremental` would process — and emits a chunk
-        every ``batch_size`` ticks plus the remainder.
+        Bounds the ticks by ``until``/``stop`` exactly as
+        :meth:`_run_kernel` does and emits a chunk every ``batch_size``
+        ticks plus the remainder.
         """
         from ..streams.batches import StreamChunk, _encode_column
 
         buf_r: list = []
         buf_s: list = []
         start = 0
-        t = 0
-        for r_batch, s_batch in iter(source):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
+        for r_batch, s_batch in bounded_events(iter(source), until, stop):
             buf_r.append(r_batch[0])
             buf_s.append(s_batch[0])
-            t += 1
             if len(buf_r) >= batch_size:
                 yield StreamChunk(start, _encode_column(buf_r), _encode_column(buf_s))
-                start = t
+                start += len(buf_r)
                 buf_r = []
                 buf_s = []
         if buf_r:
             yield StreamChunk(start, _encode_column(buf_r), _encode_column(buf_s))
-
-    # ------------------------------------------------------------------
-    def _run_policy_stream(self, source, until, stop, kind: str) -> RunResult:
-        """The columnar policy lane of the incremental path.
-
-        Unit-rate sources (one arrival per side per tick — the
-        synchronous model) re-chunk into columns on the fly and drive
-        the same lanes as :meth:`_run_policy_batched`.  Working state is
-        ``O(window + batch_size)`` — ring buffers instead of per-arrival
-        arrays — so unbounded streams are safe; like the rest of the
-        incremental path, survival tracking is unavailable here.
-        """
-        config = self.config
-
-        totals = self._run_policy_lane(
-            self._chunks_from_source(source, until, stop, config.batch_size),
-            kind,
-            None,
-            None,
-            None,
-            0,
-        )
-
-        drop_counts = {
-            "R": {
-                DROP_REJECTED: totals.rej_r,
-                DROP_EVICTED: totals.ev_r,
-                DROP_EXPIRED: totals.exp_r,
-            },
-            "S": {
-                DROP_REJECTED: totals.rej_s,
-                DROP_EVICTED: totals.ev_s,
-                DROP_EXPIRED: totals.exp_s,
-            },
-        }
-
-        return RunResult(
-            output_count=totals.output,
-            total_output_count=totals.total_output,
-            length=totals.length,
-            window=config.window,
-            memory=config.memory,
-            warmup=config.warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
-        )
 
     # ------------------------------------------------------------------
     def _run_exact_stream(
@@ -1024,9 +875,6 @@ class JoinEngine:
         from .batched import exact_stream_counts
 
         config = self.config
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
 
         on_progress = None
         if on_summary is not None:
@@ -1042,8 +890,8 @@ class JoinEngine:
 
         output, total_output, _, expired_r, expired_s, ticks = exact_stream_counts(
             iter(source),
-            window,
-            warmup,
+            config.window,
+            config.warmup,
             capacity=self.memory.capacity,
             variable=self.memory.variable,
             count_simultaneous=config.count_simultaneous,
@@ -1053,43 +901,45 @@ class JoinEngine:
             on_progress=on_progress,
             progress_every=stride if on_summary is not None else 0,
         )
-        drop_counts = empty_side_drop_counts()
-        drop_counts["R"][DROP_EXPIRED] = expired_r
-        drop_counts["S"][DROP_EXPIRED] = expired_s
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=ticks,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
-            metrics=None,
-            trace=None,
+        return self._result(
+            output, total_output, ticks,
+            side_drop_counts(expired=(expired_r, expired_s)),
         )
 
     # ------------------------------------------------------------------
-    def _run_incremental(
-        self, source, obs, tracer, until, emit, on_summary, stride, stop
+    def _run_kernel(
+        self,
+        source,
+        obs,
+        tracer,
+        *,
+        pair_length: Optional[int] = None,
+        until: Optional[int] = None,
+        emit=None,
+        on_summary=None,
+        stride: int = 4096,
+        stop=None,
     ) -> RunResult:
-        """The kernel-driven incremental loop (see :meth:`run_stream`).
+        """The kernel-driven tick loop of both the pair and source paths.
 
         Synchronous tick semantics generalized to arrival batches: per
         tick — expire, observe both batches, probe *both* batches
         against resident state plus the same-tick cross pairs (the top
         path: a new tuple is always seen by the join), then admit the R
         batch and the S batch through the kernel's eviction contests.
-        On one-arrival-per-side ticks this reduces exactly to the pair
-        path's per-tick body.
+        On one-arrival-per-side ticks this is exactly the per-tick body
+        of :meth:`_run_fast`.  Expiry, probes, admissions, and all their
+        drop/notify/trace bookkeeping run through a
+        :class:`~repro.core.kernel.JoinKernel`; the loop keeps only what
+        is engine-specific.
 
-        No per-arrival state is kept: output pairs go to ``emit``,
-        progress goes to ``on_summary``, and the only growing structure
-        is the (sampled) metrics series of an instrumented run.
+        ``pair_length`` marks a run over a finite pair (:meth:`_run_pair`)
+        and enables the features that hold per-arrival state: survival
+        records, materialisation (an ``emit`` into the result's
+        ``pairs``), share tracking, and the time-varying memory/window
+        schedules.  Without it, output pairs go to ``emit``, progress
+        goes to ``on_summary``, and the only growing structure is the
+        (sampled) metrics series of an instrumented run.
         """
         config = self.config
         memory = self.memory
@@ -1097,6 +947,7 @@ class JoinEngine:
         warmup = config.warmup
         assert warmup is not None
         count_sim = config.count_simultaneous
+        validate = config.validate
 
         kernel = JoinKernel(
             memory,
@@ -1107,43 +958,76 @@ class JoinEngine:
         )
         self._kernel = kernel
         drop_counts = kernel.drop_counts
+        expire = kernel.expire
+        observe_batch = kernel.observe_batch
+        probe_batch = kernel.probe_batch
+        insert = kernel.insert
         tracing = tracer is not None
+        mem_r = memory.r
+        mem_s = memory.s
+
+        r_departures = s_departures = None
+        pairs = shares = schedule = window_schedule = None
+        if pair_length is not None:
+            if config.track_survival:
+                r_departures = [0] * pair_length
+                s_departures = [0] * pair_length
+            if config.materialize:
+                pairs = []
+                emit = pairs.append
+            if config.track_shares:
+                shares = []
+            schedule = _as_schedule(config.memory_schedule)
+            window_schedule = _as_schedule(config.window_schedule)
+        survival = r_departures is not None
+        set_departure = self._set_departure
+
         timed = obs is not None
+        if timed:
+            run_timer = Timer()
+            run_timer.start()
+            sample, sample_every = self._occupancy_sampler(obs)
+        else:
+            sample_every = 0
 
         output = 0
         total_output = 0
         simultaneous_total = 0
         arrivals_r = 0
         arrivals_s = 0
-        ticks = 0
 
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-            sample_every = config.metrics_sample_every or max(1, window // 8)
-        else:
-            sample_every = 0
-
-        mem_r = memory.r
-        mem_s = memory.s
-
-        for t, (r_batch, s_batch) in enumerate(iter(source)):
-            if until is not None and t >= until:
-                break
-            if stop is not None and stop():
-                break
+        t = -1
+        for t, (r_batch, s_batch) in enumerate(
+            bounded_events(iter(source), until, stop)
+        ):
+            # 0. budget / window change (time-varying resources) --------
+            if schedule is not None:
+                target = int(schedule(t))
+                if target != memory.capacity:
+                    memory.resize(target)
+                    # Budget victims were last present for the previous
+                    # tick's probes, so their record ends at t - 1.
+                    for victim in kernel.shed_surplus(t):
+                        if survival:
+                            set_departure(r_departures, s_departures, victim, t - 1)
+            if window_schedule is not None:
+                window = int(window_schedule(t))
+                if window <= 0:
+                    raise ValueError(f"window schedule produced {window} at t={t}")
 
             # 1. expiry ------------------------------------------------
-            kernel.expire(t - window, t)
+            expired = expire(t - window, t)
+            if survival:
+                for record in expired:
+                    set_departure(
+                        r_departures, s_departures, record, record.arrival + window - 1
+                    )
 
             # 2. statistics hooks --------------------------------------
             arrivals_r += len(r_batch)
             arrivals_s += len(s_batch)
-            kernel.observe_batch("R", r_batch, t)
-            kernel.observe_batch("S", s_batch, t)
+            observe_batch("R", r_batch, t)
+            observe_batch("S", s_batch, t)
             if tracing:
                 for key in r_batch:
                     tracer.emit(TraceEvent(t, "R", key, EVENT_ARRIVE, t))
@@ -1151,9 +1035,7 @@ class JoinEngine:
                     tracer.emit(TraceEvent(t, "S", key, EVENT_ARRIVE, t))
 
             # 3. probes (before any same-tick admission) ---------------
-            matches = kernel.probe_batch("R", r_batch, t) + kernel.probe_batch(
-                "S", s_batch, t
-            )
+            matches = probe_batch("R", r_batch, t) + probe_batch("S", s_batch, t)
             cross = 0
             if count_sim and r_batch and s_batch:
                 if len(r_batch) == 1 and len(s_batch) == 1:
@@ -1180,6 +1062,8 @@ class JoinEngine:
                                 if r_key == key:
                                     emit(JoinResultTuple(t, t, key))
             if tracing and cross:
+                # The kernel credited the resident partners; the
+                # same-tick pairs have none, so the engine emits them.
                 for key in s_batch:
                     for r_key in r_batch:
                         if r_key == key:
@@ -1189,24 +1073,31 @@ class JoinEngine:
                             ))
 
             # 4. admissions: R batch first, then S ---------------------
-            for key in r_batch:
-                kernel.insert(TupleRecord("R", t, key), t)
-            for key in s_batch:
-                kernel.insert(TupleRecord("S", t, key), t)
+            if survival:
+                for stream, batch in (("R", r_batch), ("S", s_batch)):
+                    for key in batch:
+                        record = TupleRecord(stream, t, key)
+                        admitted, victim = insert(record, t)
+                        if not admitted:
+                            # A rejected tuple was only present for its
+                            # own arrival's probes.
+                            set_departure(r_departures, s_departures, record, t)
+                        elif victim is not None:
+                            set_departure(r_departures, s_departures, victim, t)
+            else:
+                for key in r_batch:
+                    insert(TupleRecord("R", t, key), t)
+                for key in s_batch:
+                    insert(TupleRecord("S", t, key), t)
 
+            if shares is not None and t % config.share_sample_every == 0:
+                shares.append((t, mem_r.size, mem_s.size))
             if sample_every and not t % sample_every:
-                r_size = mem_r.size
-                s_size = mem_s.size
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
+                sample(t, mem_r.size, mem_s.size)
+            if validate:
+                self._check_invariants(t, window)
 
-            if config.validate:
-                self._check_invariants(t)
-
-            ticks = t + 1
-            if on_summary is not None and ticks % stride == 0:
+            if on_summary is not None and (t + 1) % stride == 0:
                 on_summary(RunSummary(
                     engine="fast",
                     policy_name=self.policy_name,
@@ -1214,307 +1105,117 @@ class JoinEngine:
                     drops=DropBreakdown.from_side_counts(drop_counts),
                 ))
 
+        # Tuples still resident at stream end would have served their full
+        # window; record the counterfactual natural departure.
+        if survival:
+            for side in (mem_r, mem_s):
+                for record in side.records():
+                    set_departure(
+                        r_departures, s_departures, record, record.arrival + window - 1
+                    )
+
         snapshot = None
         if timed:
-            run_timer.stop()
-            obs.counter("engine.probes").inc(arrivals_r + arrivals_s)
-            obs.counter("engine.matches").inc(total_output)
-            obs.counter("engine.simultaneous").inc(simultaneous_total)
-            obs.counter("engine.output").inc(output)
-            for side, arrived in (("R", arrivals_r), ("S", arrivals_s)):
-                obs.counter("engine.arrivals", side=side).inc(arrived)
-                obs.counter("engine.admissions", side=side).inc(
-                    arrived - drop_counts[side][DROP_REJECTED]
-                )
-                for reason, count in drop_counts[side].items():
-                    obs.counter("engine.drops", side=side, reason=reason).inc(count)
-                obs.gauge("engine.final_occupancy", side=side).set(
-                    memory.side(side).size
-                )
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
+            snapshot = self._finish_metrics(
+                obs, run_timer, (arrivals_r, arrivals_s), total_output,
+                simultaneous_total, output, drop_counts,
+            )
+        trace_events = tracer.collect() if tracing else None
         self._kernel = None
 
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=ticks,
+        return self._result(
+            output, total_output, t + 1, drop_counts,
             window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=None,
-            r_departures=None,
-            s_departures=None,
-            shares=None,
-            drop_counts=drop_counts,
+            pairs=pairs,
+            r_departures=r_departures,
+            s_departures=s_departures,
+            shares=shares,
             metrics=snapshot,
             trace=trace_events,
         )
 
     # ------------------------------------------------------------------
-    def _flush_metrics(
+    def _result(
+        self, output: int, total_output: int, length: int, drop_counts: dict,
+        *, window: Optional[int] = None, **detail,
+    ) -> RunResult:
+        """Assemble a :class:`RunResult`; ``window`` overrides the
+        configured one (a window schedule ends on its last value) and
+        ``detail`` fills the optional fields (``pairs``, departures,
+        ``shares``, ``metrics``, ``trace``)."""
+        config = self.config
+        return RunResult(
+            output_count=output,
+            total_output_count=total_output,
+            length=length,
+            window=config.window if window is None else window,
+            memory=config.memory,
+            warmup=config.warmup,
+            policy_name=self.policy_name,
+            drop_counts=drop_counts,
+            **detail,
+        )
+
+    def _occupancy_sampler(self, obs):
+        """``(sample, every)``: ``sample(t, r_size, s_size)`` appends one
+        point to the occupancy and R-share series, which every loop
+        calls each ``every`` ticks (``metrics_sample_every``)."""
+        occupancy_r = obs.series("engine.occupancy", side="R")
+        occupancy_s = obs.series("engine.occupancy", side="S")
+        share_series = obs.series("engine.memory_share", side="R")
+
+        def sample(t, r_size, s_size):
+            occupancy_r.append(t, r_size)
+            occupancy_s.append(t, s_size)
+            total = r_size + s_size
+            share_series.append(t, (r_size / total) if total else 0.5)
+
+        config = self.config
+        return sample, config.metrics_sample_every or max(1, config.window // 8)
+
+    def _finish_metrics(
         self,
         obs,
-        length: int,
+        run_timer: Timer,
+        arrivals: tuple,
         total_output: int,
         simultaneous_total: int,
         output: int,
         drop_counts: dict,
         *,
-        final_occupancy: Union[int, tuple, None] = None,
-    ) -> None:
-        """End-of-run counter/gauge flush shared by the fast loops.
+        final_occupancy: Optional[tuple] = None,
+    ) -> dict:
+        """End-of-run counter/gauge flush shared by every loop; returns
+        the registry snapshot.
 
-        ``final_occupancy`` overrides the end-of-run gauge for lanes
-        that never populate the join memory: a single int applies to
-        both sides (the count-only EXACT lane computes residency
-        analytically), an ``(r, s)`` tuple sets them separately (the
-        policy lanes track per-side occupancy).
+        ``arrivals`` is the ``(R, S)`` arrival count.
+        ``final_occupancy`` overrides the end-of-run ``(R, S)`` gauge
+        for lanes that never populate the join memory (the count-only
+        EXACT lane computes residency analytically, the policy lanes
+        track it themselves).
         """
-        memory = self.memory
-        obs.counter("engine.probes").inc(2 * length)
+        run_timer.stop()
+        obs.counter("engine.probes").inc(arrivals[0] + arrivals[1])
         obs.counter("engine.matches").inc(total_output)
         obs.counter("engine.simultaneous").inc(simultaneous_total)
         obs.counter("engine.output").inc(output)
-        for side in ("R", "S"):
-            obs.counter("engine.arrivals", side=side).inc(length)
+        for index, side in enumerate(("R", "S")):
+            arrived = arrivals[index]
+            obs.counter("engine.arrivals", side=side).inc(arrived)
             obs.counter("engine.admissions", side=side).inc(
-                length - drop_counts[side][DROP_REJECTED]
+                arrived - drop_counts[side][DROP_REJECTED]
             )
             for reason, count in drop_counts[side].items():
                 obs.counter("engine.drops", side=side, reason=reason).inc(count)
             if final_occupancy is None:
-                occupancy = memory.side(side).size
-            elif isinstance(final_occupancy, tuple):
-                occupancy = final_occupancy[0 if side == "R" else 1]
+                occupancy = self.memory.side(side).size
             else:
-                occupancy = final_occupancy
+                occupancy = final_occupancy[index]
             obs.gauge("engine.final_occupancy", side=side).set(occupancy)
+        obs.record_phase("engine/run", run_timer.seconds)
+        return obs.snapshot()
 
     # ------------------------------------------------------------------
-    def _run_general(self, pair: StreamPair, obs, tracer) -> RunResult:
-        """The fully featured loop (see :meth:`run`).
-
-        Expiry, probes, admissions, and all their drop/notify/trace
-        bookkeeping run through a :class:`~repro.core.kernel.JoinKernel`;
-        this loop keeps only what is engine-specific — output counting,
-        warmup, survival records, materialisation, share tracking, the
-        time-varying schedules, and instrumentation.
-        """
-        config = self.config
-        memory = self.memory
-        window = config.window
-        warmup = config.warmup
-        assert warmup is not None
-
-        length = len(pair)
-        r_keys = pair.r
-        s_keys = pair.s
-
-        track_survival = config.track_survival
-        r_departures: Optional[list[int]] = [0] * length if track_survival else None
-        s_departures: Optional[list[int]] = [0] * length if track_survival else None
-
-        pairs: Optional[list[JoinResultTuple]] = [] if config.materialize else None
-        shares: Optional[list[tuple[int, int, int]]] = [] if config.track_shares else None
-
-        output = 0
-        total_output = 0
-        simultaneous_total = 0
-
-        # Observability: `obs` and `tracer` are None on the
-        # uninstrumented path, so the hot loop pays only a handful of
-        # local-boolean branches per tick.
-        kernel = JoinKernel(
-            memory,
-            self._policy_r,
-            self._policy_s,
-            tracer=tracer,
-            overflow_error=CapacityExceededError,
-        )
-        self._kernel = kernel
-        drop_counts = kernel.drop_counts
-        tracing = tracer is not None
-        timed = obs is not None
-        if timed:
-            run_timer = Timer()
-            run_timer.start()
-            expire_timer = Timer()
-            probe_timer = Timer()
-            admit_timer = Timer()
-            occupancy_r = obs.series("engine.occupancy", side="R")
-            occupancy_s = obs.series("engine.occupancy", side="S")
-            share_series = obs.series("engine.memory_share", side="R")
-
-        schedule = config.memory_schedule
-        if schedule is not None and not callable(schedule):
-            sequence = schedule
-            schedule = lambda t: sequence[t]  # noqa: E731 - tiny adapter
-        window_schedule = config.window_schedule
-        if window_schedule is not None and not callable(window_schedule):
-            window_sequence = window_schedule
-            window_schedule = lambda t: window_sequence[t]  # noqa: E731
-
-        for t in range(length):
-            # 0. budget / window change (time-varying resources) --------
-            if schedule is not None:
-                target = int(schedule(t))
-                if target != memory.capacity:
-                    memory.resize(target)
-                    # Budget victims were last present for the previous
-                    # tick's probes, so their record ends at t - 1.
-                    for victim in kernel.shed_surplus(t):
-                        if track_survival:
-                            self._set_departure(
-                                r_departures, s_departures, victim, t - 1
-                            )
-            if window_schedule is not None:
-                window = int(window_schedule(t))
-                if window <= 0:
-                    raise ValueError(f"window schedule produced {window} at t={t}")
-
-            # 1. expiry ------------------------------------------------
-            if timed:
-                expire_timer.start()
-            for record in kernel.expire(t - window, t):
-                if track_survival:
-                    self._set_departure(
-                        r_departures, s_departures, record, record.arrival + window - 1
-                    )
-
-            if timed:
-                expire_timer.stop()
-
-            r_key = r_keys[t]
-            s_key = s_keys[t]
-
-            # 2. statistics hooks ---------------------------------------
-            kernel.observe("R", r_key, t)
-            kernel.observe("S", s_key, t)
-            if tracing:
-                tracer.emit(TraceEvent(t, "R", r_key, EVENT_ARRIVE, t))
-                tracer.emit(TraceEvent(t, "S", s_key, EVENT_ARRIVE, t))
-
-            # 3. probes -------------------------------------------------
-            if timed:
-                probe_timer.start()
-            matches = kernel.probe("R", r_key, t) + kernel.probe("S", s_key, t)
-            simultaneous = 1 if (config.count_simultaneous and r_key == s_key) else 0
-            total_output += matches + simultaneous
-            simultaneous_total += simultaneous
-            if t >= warmup:
-                output += matches + simultaneous
-                if pairs is not None:
-                    for record in memory.s.matches(r_key):
-                        pairs.append(JoinResultTuple(t, record.arrival, r_key))
-                    for record in memory.r.matches(s_key):
-                        pairs.append(JoinResultTuple(record.arrival, t, s_key))
-                    if simultaneous:
-                        pairs.append(JoinResultTuple(t, t, r_key))
-            if tracing and simultaneous:
-                # kernel.probe credited the resident partners; the
-                # simultaneous pair has none, so the engine emits it.
-                tracer.emit(TraceEvent(
-                    t, "R", r_key, EVENT_JOIN_OUTPUT, t,
-                    None, REASON_SIMULTANEOUS,
-                ))
-
-            # 4. admissions ---------------------------------------------
-            if timed:
-                probe_timer.stop()
-                admit_timer.start()
-            for stream, key in (("R", r_key), ("S", s_key)):
-                record = TupleRecord(stream, t, key)
-                admitted, victim = kernel.insert(record, t)
-                if track_survival:
-                    if not admitted:
-                        # A rejected tuple was only present for its own
-                        # arrival's probes.
-                        self._set_departure(
-                            r_departures, s_departures, record, record.arrival
-                        )
-                    elif victim is not None:
-                        self._set_departure(r_departures, s_departures, victim, t)
-            if timed:
-                admit_timer.stop()
-
-            if shares is not None and t % config.share_sample_every == 0:
-                shares.append((t, memory.r.size, memory.s.size))
-
-            if timed and t % config.share_sample_every == 0:
-                r_size = memory.r.size
-                s_size = memory.s.size
-                occupancy_r.append(t, r_size)
-                occupancy_s.append(t, s_size)
-                total = r_size + s_size
-                share_series.append(t, (r_size / total) if total else 0.5)
-
-            if config.validate:
-                self._check_invariants(t)
-
-        # Tuples still resident at stream end would have served their full
-        # window; record the counterfactual natural departure.
-        if track_survival:
-            for side in (memory.r, memory.s):
-                for record in side.records():
-                    self._set_departure(
-                        r_departures, s_departures, record, record.arrival + window - 1
-                    )
-
-        snapshot = None
-        if obs is not None:
-            run_timer.stop()
-            obs.counter("engine.probes").inc(2 * length)
-            obs.counter("engine.matches").inc(total_output)
-            obs.counter("engine.simultaneous").inc(simultaneous_total)
-            obs.counter("engine.output").inc(output)
-            for side in ("R", "S"):
-                obs.counter("engine.arrivals", side=side).inc(length)
-                obs.counter("engine.admissions", side=side).inc(
-                    length - drop_counts[side][DROP_REJECTED]
-                )
-                for reason, count in drop_counts[side].items():
-                    obs.counter("engine.drops", side=side, reason=reason).inc(count)
-                obs.gauge("engine.final_occupancy", side=side).set(
-                    memory.side(side).size
-                )
-            expire_timer.flush(obs, "engine/expire")
-            probe_timer.flush(obs, "engine/probe")
-            admit_timer.flush(obs, "engine/admit")
-            obs.record_phase("engine/run", run_timer.seconds)
-            snapshot = obs.snapshot()
-
-        trace_events = None
-        if tracing:
-            trace_events = tracer.collect()
-        self._kernel = None
-
-        return RunResult(
-            output_count=output,
-            total_output_count=total_output,
-            length=length,
-            window=window,
-            memory=config.memory,
-            warmup=warmup,
-            policy_name=self.policy_name,
-            pairs=pairs,
-            r_departures=r_departures,
-            s_departures=s_departures,
-            shares=shares,
-            drop_counts=drop_counts,
-            metrics=snapshot,
-            trace=trace_events,
-        )
-
-    # ------------------------------------------------------------------
-    def _policy_for(self, stream: str) -> Optional[EvictionPolicy]:
-        return self._policy_r if stream == "R" else self._policy_s
-
     @staticmethod
     def _set_departure(
         r_departures: Optional[list[int]],
@@ -1526,7 +1227,9 @@ class JoinEngine:
         if target is not None:
             target[record.arrival] = departure
 
-    def _check_invariants(self, now: int) -> None:
+    def _check_invariants(self, now: int, window: int) -> None:
+        """Per-tick structural checks (``validate``); ``window`` is the
+        window in force at ``now``, which a schedule may have moved."""
         memory = self.memory
         if memory.variable:
             if memory.total_size > memory.capacity:
@@ -1543,5 +1246,5 @@ class JoinEngine:
             for record in side.records():
                 if not record.alive:
                     raise AssertionError(f"t={now}: dead record in slot array")
-                if record.arrival <= now - self.config.window:
+                if record.arrival <= now - window:
                     raise AssertionError(f"t={now}: expired record {record!r} resident")

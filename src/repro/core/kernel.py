@@ -26,7 +26,7 @@ Engines keep what is genuinely theirs: output counting and warmup
 only), queue management (modular engines), and the inlined fast loop of
 :meth:`~repro.core.engine.JoinEngine._run_fast`, which bypasses the
 kernel entirely for throughput — a regression test pins it to the
-kernel-driven general loop.
+kernel-driven tick loop (``JoinEngine._run_kernel``).
 
 Every kernel instance carries one per-side drop ledger in the shape of
 :func:`~repro.core.results.empty_side_drop_counts`; engines read

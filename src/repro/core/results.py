@@ -50,9 +50,22 @@ def empty_side_drop_counts() -> dict:
     every unsharded snapshot.  :meth:`DropBreakdown.from_side_counts`
     reads it with a default of 0.
     """
+    return side_drop_counts()
+
+
+def side_drop_counts(
+    rejected: tuple = (0, 0), evicted: tuple = (0, 0), expired: tuple = (0, 0)
+) -> dict:
+    """A per-side drop ledger from ``(R, S)`` count pairs, in the shape
+    of :func:`empty_side_drop_counts` (for lanes that tally into plain
+    ints and build the ledger once at the end)."""
     return {
-        "R": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: 0},
-        "S": {DROP_REJECTED: 0, DROP_EVICTED: 0, DROP_EXPIRED: 0},
+        side: {
+            DROP_REJECTED: rejected[i],
+            DROP_EVICTED: evicted[i],
+            DROP_EXPIRED: expired[i],
+        }
+        for i, side in enumerate(("R", "S"))
     }
 
 

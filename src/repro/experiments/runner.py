@@ -123,7 +123,7 @@ def run_algorithm(
     ``batch_size`` enables the engines' columnar micro-batch lanes for
     eligible configurations (see
     :attr:`~repro.core.engine.EngineConfig.batch_size`);
-    ``force_general`` pins the run to the general per-tick loop, which
+    ``force_general`` pins the run to the kernel-driven tick loop, which
     lets benchmarks compare instrumented and plain runs on the same
     execution lane.  Both are ignored by OPT/OPTV.
     """

@@ -25,6 +25,7 @@ are unbounded unless given an explicit ``length``, and
 from __future__ import annotations
 
 import json
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Optional, Protocol, Union, runtime_checkable
 
@@ -45,6 +46,7 @@ __all__ = [
     "SourceEvent",
     "ZipfSource",
     "as_source",
+    "bounded_events",
     "take_pair",
 ]
 
@@ -418,6 +420,24 @@ class ReplaySource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReplaySource({str(self.path)!r})"
+
+
+def bounded_events(
+    events: Iterable, until: Optional[int] = None, stop=None
+) -> Iterator:
+    """``events`` cut after ``until`` ticks and at the first tick on
+    which ``stop()`` returns truthy.
+
+    ``stop()`` is polled once per tick, after the tick is pulled and
+    before anyone processes it, so the tick it stops on is dropped; the
+    ``until`` bound stops pulling.  The engines' run loops take their
+    tick bounds this way, so they pay no per-tick checks for them.
+    """
+    if until is not None:
+        events = islice(events, until)
+    if stop is not None:
+        events = takewhile(lambda _event: not stop(), events)
+    return iter(events)
 
 
 def as_source(obj: Union[Source, StreamPair]) -> Source:

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.async_engine import (
-    AsyncEngineConfig,
-    AsyncJoinEngine,
-    batches_from_pair,
-)
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.policies import (
     LifePolicy,
     ProbPolicy,
@@ -17,6 +13,31 @@ from repro.core.policies import (
 )
 from repro.experiments import estimators_for
 from repro.streams import exact_join_size, zipf_pair
+
+
+def _unit_batches(pair):
+    """The synchronous workload as one-tuple-per-tick batches."""
+    return [[key] for key in pair.r], [[key] for key in pair.s]
+
+
+class _BatchSource:
+    """Per-tick batch lists presented as a source."""
+
+    def __init__(self, r_batches, s_batches):
+        self.r_batches = r_batches
+        self.s_batches = s_batches
+        self.length = len(r_batches)
+
+    def __iter__(self):
+        return zip(self.r_batches, self.s_batches)
+
+
+def _both_paths(make_engine, r_batches, s_batches):
+    """Output counts of ``run(batches)`` and ``run_stream(source)``."""
+    return (
+        make_engine().run(r_batches, s_batches).output_count,
+        make_engine().run_stream(_BatchSource(r_batches, s_batches)).output_count,
+    )
 
 
 def _policies(pair, kind="PROB", window=10):
@@ -63,7 +84,7 @@ class TestSynchronousEquivalence:
         pair = zipf_pair(120, 6, 1.0, seed=seed)
         config = AsyncEngineConfig(window=window, memory=4 * window, validate=True)
         engine = AsyncJoinEngine(config)
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run(*_unit_batches(pair))
         assert result.output_count == exact_join_size(
             pair, window, count_from=config.warmup
         )
@@ -74,7 +95,7 @@ class TestSynchronousEquivalence:
         exact = exact_join_size(pair, window, count_from=2 * window)
         config = AsyncEngineConfig(window=window, memory=10)
         engine = AsyncJoinEngine(config, policy=_policies(pair, "PROB", window))
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run(*_unit_batches(pair))
         assert 0 < result.output_count <= exact
 
 
@@ -129,7 +150,7 @@ class TestBurstyArrivals:
         pair = zipf_pair(100, 5, 1.0, seed=6)
         config = AsyncEngineConfig(window=20, memory=4)
         with pytest.raises(RuntimeError, match="overflow"):
-            AsyncJoinEngine(config).run(*batches_from_pair(pair))
+            AsyncJoinEngine(config).run(*_unit_batches(pair))
 
 
 class TestAsyncFuzzAgainstReference:
@@ -154,15 +175,18 @@ class TestAsyncFuzzAgainstReference:
 
         estimators = estimators_for(pair)
         config = AsyncEngineConfig(window=window, memory=memory, warmup=0)
-        engine = AsyncJoinEngine(
-            config,
-            policy=SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators)),
+        ours = _both_paths(
+            lambda: AsyncJoinEngine(
+                config,
+                policy=SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators)),
+            ),
+            r_batches,
+            s_batches,
         )
-        ours = engine.run(r_batches, s_batches).output_count
         reference = naive_async_run(
             r_batches, s_batches, window, memory, estimators, warmup=0
         )
-        assert ours == reference
+        assert ours == (reference, reference)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2000), memory=st.integers(1, 10))
@@ -170,15 +194,16 @@ class TestAsyncFuzzAgainstReference:
         from tests.reference_engine import naive_async_run
 
         pair = zipf_pair(80, 5, 1.0, seed=seed)
-        batches = batches_from_pair(pair)
+        batches = _unit_batches(pair)
         estimators = estimators_for(pair)
         config = AsyncEngineConfig(window=8, memory=memory, variable=True, warmup=0)
-        engine = AsyncJoinEngine(config, policy=ProbPolicy(estimators))
-        ours = engine.run(*batches).output_count
+        ours = _both_paths(
+            lambda: AsyncJoinEngine(config, policy=ProbPolicy(estimators)), *batches
+        )
         reference = naive_async_run(
             *batches, 8, memory, estimators, variable=True, warmup=0
         )
-        assert ours == reference
+        assert ours == (reference, reference)
 
 
 class TestCountWindows:
@@ -218,5 +243,5 @@ class TestCountWindows:
             window=10, memory=8, warmup=20, window_mode="count", validate=True
         )
         engine = AsyncJoinEngine(config, policy=_policies(pair, "PROB"))
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run(*_unit_batches(pair))
         assert result.output_count > 0

@@ -4,11 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.async_engine import (
-    AsyncEngineConfig,
-    AsyncJoinEngine,
-    batches_from_pair,
-)
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.memory import JoinMemory, StreamMemory, TupleRecord
 from repro.core.policies import (
     LifePolicy,
@@ -132,6 +128,8 @@ class TestMemorySnapshot:
 # ----------------------------------------------------------------------
 
 PAIR = zipf_pair(400, 10, 1.0, seed=5)
+#: The synchronous workload as one-tuple-per-tick batches.
+UNIT_BATCHES = ([[key] for key in PAIR.r], [[key] for key in PAIR.s])
 ESTIMATORS = estimators_for(PAIR)
 WINDOW = 30
 
@@ -173,7 +171,7 @@ class TestEngineResumeIdentity:
     @pytest.mark.parametrize("name", ["EXACT", "RAND", "PROB", "LIFE"])
     @pytest.mark.parametrize("checkpoint_tick", [0, 57, 211])
     def test_resume_matches_uninterrupted(self, name, checkpoint_tick):
-        batches = batches_from_pair(PAIR)
+        batches = UNIT_BATCHES
         baseline = AsyncJoinEngine(
             _config(name), policy=_policies(name)
         ).run(*batches)
@@ -194,7 +192,7 @@ class TestEngineResumeIdentity:
         assert _fingerprint(resumed) == _fingerprint(baseline)
 
     def test_resume_restores_metrics_totals(self):
-        batches = batches_from_pair(PAIR)
+        batches = UNIT_BATCHES
         baseline_registry = MetricsRegistry()
         AsyncJoinEngine(
             _config("PROB"), policy=_policies("PROB"),
@@ -241,12 +239,12 @@ class TestEngineResumeIdentity:
                     engine.checkpoint()
                 captured["checked"] = True
 
-        AsyncJoinEngine(config).run(*batches_from_pair(PAIR), on_tick=on_tick)
+        AsyncJoinEngine(config).run(*UNIT_BATCHES, on_tick=on_tick)
         assert captured.get("checked")
 
     def test_resume_skips_already_processed_ticks(self):
         """A resumed run must not double-count pre-checkpoint arrivals."""
-        batches = batches_from_pair(PAIR)
+        batches = UNIT_BATCHES
         baseline = AsyncJoinEngine(_config("EXACT")).run(*batches)
 
         saved = {}

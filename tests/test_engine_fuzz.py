@@ -11,7 +11,27 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import estimators_for, run_algorithm
 from repro.streams import zipf_pair
+from repro.streams.sources import PairSource
 from tests.reference_engine import naive_run
+
+
+def path_outputs(name, pair, window, memory, estimators=None):
+    """Output of every loop a pair can reach: the fast loop, the kernel
+    loop (``materialize`` forces it), and the incremental source path."""
+    fast = run_algorithm(name, pair, window, memory, estimators=estimators)
+    kernel = run_algorithm(
+        name, pair, window, memory, estimators=estimators, materialize=True
+    )
+    source = run_algorithm(
+        name, pair, window, memory, estimators=estimators,
+        source=PairSource(pair), until=len(pair),
+    )
+    assert len(kernel.pairs) == kernel.output_count
+    return {
+        "fast": fast.output_count,
+        "kernel": kernel.output_count,
+        "source": source.output_count,
+    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -25,9 +45,9 @@ def test_prob_matches_reference_fixed(seed, window, half, skew):
     pair = zipf_pair(150, 6, skew, seed=seed)
     memory = 2 * half
     estimators = estimators_for(pair)
-    engine = run_algorithm("PROB", pair, window, memory, estimators=estimators)
+    outputs = path_outputs("PROB", pair, window, memory, estimators)
     reference = naive_run(pair, window, memory, "PROB", estimators)
-    assert engine.output_count == reference
+    assert outputs == dict.fromkeys(outputs, reference)
 
 
 @settings(max_examples=20, deadline=None)
@@ -39,9 +59,9 @@ def test_prob_matches_reference_fixed(seed, window, half, skew):
 def test_probv_matches_reference_variable(seed, window, memory):
     pair = zipf_pair(120, 5, 1.0, seed=seed)
     estimators = estimators_for(pair)
-    engine = run_algorithm("PROBV", pair, window, memory, estimators=estimators)
+    outputs = path_outputs("PROBV", pair, window, memory, estimators)
     reference = naive_run(pair, window, memory, "PROB", estimators, variable=True)
-    assert engine.output_count == reference
+    assert outputs == dict.fromkeys(outputs, reference)
 
 
 @settings(max_examples=30, deadline=None)
@@ -54,9 +74,9 @@ def test_life_matches_reference_fixed(seed, window, half):
     pair = zipf_pair(150, 6, 1.0, seed=seed)
     memory = 2 * half
     estimators = estimators_for(pair)
-    engine = run_algorithm("LIFE", pair, window, memory, estimators=estimators)
+    outputs = path_outputs("LIFE", pair, window, memory, estimators)
     reference = naive_run(pair, window, memory, "LIFE", estimators)
-    assert engine.output_count == reference
+    assert outputs == dict.fromkeys(outputs, reference)
 
 
 @settings(max_examples=15, deadline=None)
@@ -68,15 +88,15 @@ def test_life_matches_reference_fixed(seed, window, half):
 def test_lifev_matches_reference_variable(seed, window, memory):
     pair = zipf_pair(100, 5, 1.0, seed=seed)
     estimators = estimators_for(pair)
-    engine = run_algorithm("LIFEV", pair, window, memory, estimators=estimators)
+    outputs = path_outputs("LIFEV", pair, window, memory, estimators)
     reference = naive_run(pair, window, memory, "LIFE", estimators, variable=True)
-    assert engine.output_count == reference
+    assert outputs == dict.fromkeys(outputs, reference)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2000), window=st.integers(2, 12))
 def test_exact_matches_reference(seed, window):
     pair = zipf_pair(120, 5, 1.0, seed=seed)
-    engine = run_algorithm("EXACT", pair, window, 0)
+    outputs = path_outputs("EXACT", pair, window, 0)
     reference = naive_run(pair, window, 2 * window, "EXACT")
-    assert engine.output_count == reference
+    assert outputs == dict.fromkeys(outputs, reference)

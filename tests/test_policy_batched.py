@@ -96,9 +96,9 @@ class TestLaneGating:
         lanes = []
         original = JoinEngine._run_policy_batched
 
-        def spy(self, pair, obs, kind):
+        def spy(self, chunks, kind, **pair_only):
             lanes.append(kind)
-            return original(self, pair, obs, kind)
+            return original(self, chunks, kind, **pair_only)
 
         monkeypatch.setattr(JoinEngine, "_run_policy_batched", spy)
         run(small_spec(algorithm, batch_size=64))
@@ -150,23 +150,24 @@ class TestStreamingPolicyLanes:
 
     def test_stream_lane_engages(self, monkeypatch):
         lanes = []
-        original = JoinEngine._run_policy_stream
+        original = JoinEngine._run_policy_batched
 
-        def spy(self, source, until, stop, kind):
-            lanes.append(kind)
-            return original(self, source, until, stop, kind)
+        def spy(self, chunks, kind, **pair_only):
+            lanes.append((kind, pair_only))
+            return original(self, chunks, kind, **pair_only)
 
-        monkeypatch.setattr(JoinEngine, "_run_policy_stream", spy)
+        monkeypatch.setattr(JoinEngine, "_run_policy_batched", spy)
         source = ZipfSource(30, 1.0, seed=11, length=600)
         run(self._source_spec("PROB", source, batch_size=64))
-        assert lanes == ["prob"]
+        # Survival records and the occupancy sampler are pair-only.
+        assert lanes == [("prob", {})]
 
     def test_estimator_fed_prob_falls_back_identically(self, monkeypatch):
         # An online estimator updates mid-stream, so no static table
         # exists to vectorize against: batch_size must quietly take the
         # per-tuple incremental path and change nothing.
         monkeypatch.setattr(
-            JoinEngine, "_run_policy_stream",
+            JoinEngine, "_run_policy_batched",
             lambda *a, **k: pytest.fail("estimator-fed runs must stay per-tuple"),
         )
         source = ZipfSource(30, 1.0, seed=11, length=1200)
@@ -204,7 +205,7 @@ class TestStreamingPolicyLanes:
         from repro.streams.sources import PoissonSource
 
         monkeypatch.setattr(
-            JoinEngine, "_run_policy_stream",
+            JoinEngine, "_run_policy_batched",
             lambda *a, **k: pytest.fail("rated sources must stay per-tuple"),
         )
         source = PoissonSource(30, 1.0, rate=0.7, seed=5, length=500)

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import EngineConfig, JoinEngine
-from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine, batches_from_pair
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.experiments import estimators_for
 from repro.experiments.runner import _policy_for, run_algorithm
 from repro.streams import StreamPair, exact_join_size, zipf_pair
+from repro.streams.sources import PairSource
 
 
 class TestWindowSchedule:
@@ -17,6 +18,7 @@ class TestWindowSchedule:
             memory=memory if memory is not None else 4 * window,
             window_schedule=schedule,
             track_survival=False,
+            validate=True,
         )
         spec = None if policy is None else _policy_for(policy, estimators, window, 0)
         return JoinEngine(config, policy=spec).run(pair)
@@ -43,11 +45,20 @@ class TestWindowSchedule:
         assert narrow.output_count <= wave.output_count <= wide.output_count
 
     def test_pure_shrink_matches_smaller_exact_join(self):
-        """Once the schedule settles on w', output matches the w' join."""
+        """Once the schedule settles on w', output matches the w' join.
+
+        The second input grows the window past its initial size before
+        anything expires; ``validate`` must check residents against the
+        window in force, not the configured one.
+        """
         pair = zipf_pair(300, 6, 1.0, seed=9)
-        result = self._run(pair, lambda t: 8, window=16, policy=None)
-        expected = exact_join_size(pair, 8, count_from=2 * 16)
-        assert result.output_count == expected
+        for schedule, window, settled in (
+            (lambda t: 8, 16, 8),
+            (lambda t: 4 if t < 4 else 8, 4, 8),
+        ):
+            result = self._run(pair, schedule, window=window, policy=None)
+            expected = exact_join_size(pair, settled, count_from=2 * window)
+            assert result.output_count == expected
 
     def test_sequence_schedule(self, small_zipf_pair):
         schedule = [20] * len(small_zipf_pair)
@@ -122,7 +133,7 @@ class TestLandmarkWindows:
             config,
             policy=SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators)),
         )
-        result = engine.run(*batches_from_pair(pair))
+        result = engine.run_stream(PairSource(pair))
         assert result.output_count > 0
 
     def test_landmark_rejects_life(self):
