@@ -95,9 +95,12 @@ soak:
 bench-gate:
 	$(PYTHON) benchmarks/regression.py
 
-# Tier-1 gate: the full test-suite plus the benchmark snapshot.
+# Tier-1 gate: the full test-suite, the benchmark harness self-test
+# (it catches renames of the entry points the tracer wraps), and the
+# benchmark snapshot.
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/harness -q
 	$(MAKE) bench-smoke
 
 # Regenerate every figure/table via the CLI at the chosen scale.

@@ -3,40 +3,49 @@
 The EXACT count lanes of :mod:`repro.core.batched` prove that the
 synchronous join collapses to dictionary count arithmetic when nothing
 is ever shed.  The lanes here extend that collapse to the paper's
-shedding policies — RAND, PROB, and LIFE, fixed and variable allocation
-— by replacing the engine's record-object machinery with flat state the
-hot loop can drive per :class:`~repro.streams.batches.StreamChunk`:
+shedding policies — RAND, PROB, and LIFE — by replacing the engine's
+record-object machinery with flat state the hot loop can drive per
+:class:`~repro.streams.batches.StreamChunk`.  There is one lane per
+policy, and the allocation mode is its ``variable`` argument: fixed
+allocation (``M/2`` per side) and variable allocation (one shared pool)
+differ only in whether a contest is held among the newcomer's own side
+or across the whole pool — the same ternary ``JoinEngine._run_fast``
+applies at admission.  Own-side removals stay inline; the cross-side
+branch only runs on a shared pool.
 
 * **probes** stay per-key count arithmetic (two dict lookups per tick);
 * **candidate priorities** (PROB's partner probability, LIFE's
   ``window * p``) are gathered once per chunk from a dense numpy view of
-  the PR-3 static probability tables (``dense[key_column]``), with a
-  per-key ``dict.get`` fallback when numpy is absent or keys are not
-  small non-negative integers;
+  the static probability tables (``dense[key_column]``), with a per-key
+  ``dict.get`` fallback when keys are not small non-negative integers;
 * **RAND draws** come from a pre-drawn block of the policy's own
   generator: once contests begin the draw bound is a run constant
   (contests only fire on a full side/pool), so one
   ``Generator.integers(bound, size=N)`` call replaces N scalar calls.
   A one-time probe verifies block draws reproduce the scalar-draw
   sequence bit-for-bit; if the installed numpy disagrees the lane falls
-  back to scalar draws (identical decisions, smaller win);
+  back to scalar draws (identical decisions, smaller win).  A shared
+  pool draws one stream for both sides;
 * **PROB's weakest resident** is a lazy min-heap of bare
-  ``(priority, arrival)`` tuples (``(priority, arrival, side)`` on a
-  shared pool) — the same total order as
+  ``(priority, arrival, side)`` tuples, one per side or one shared by
+  the pool — the same total order as
   :class:`~repro.core.policies.prob.ProbPolicy`'s record heap, because
   per-side arrival times are unique;
 * **LIFE's weakest-victim scan** walks a per-key aggregate view —
-  ``key -> (arrival deque, partner probability)`` — so each distinct
-  resident key costs one deque peek and one multiply, instead of the
-  per-tuple path's record resolution through the memory's per-key FIFOs.
+  ``key -> (arrival deque, partner probability)`` — of the contest's
+  own side, or of R then S on a shared pool, so each distinct resident
+  key costs one deque peek and one multiply, instead of the per-tuple
+  path's record resolution through the memory's per-key FIFOs.
 
 Identity contract
 -----------------
 Every lane reproduces ``JoinEngine._run_fast`` bit-for-bit: output and
 total-output counts, the drop ledger, survival departures, and the
-sampled occupancy/share series.  The load-bearing structural facts (all
-asserted by ``tests/test_policy_batched.py`` across policies × batch
-sizes × allocation modes):
+sampled occupancy/share series; ``tests/test_engine_fuzz.py`` also
+checks the PROB and LIFE lanes, both allocation modes, against the
+brute-force oracle.  The load-bearing structural facts (all asserted
+by ``tests/test_policy_batched.py`` across policies × batch sizes ×
+allocation modes):
 
 * the synchronous model admits one tuple per side per tick, so per-side
   arrival times are unique — ``(priority, arrival)`` is a total order
@@ -65,12 +74,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ..streams.batches import HAVE_NUMPY, StreamChunk
+import numpy as _np
 
-if HAVE_NUMPY:  # pragma: no branch - import guard
-    import numpy as _np
+from ..streams.batches import StreamChunk
 
 __all__ = [
     "LaneTotals",
@@ -156,10 +165,10 @@ def lane_kind_for_policies(
 def _dense_from_dict(probs: dict):
     """Dense ``key -> probability`` array for small non-negative int keys.
 
-    Returns ``None`` (dict-lookup fallback) without numpy, for
-    non-integer keys, or when the key range is too sparse to densify.
+    Returns ``None`` (dict-lookup fallback) for non-integer keys, or
+    when the key range is too sparse to densify.
     """
-    if not HAVE_NUMPY or not probs:
+    if not probs:
         return None
     max_key = -1
     for key in probs:
@@ -178,7 +187,7 @@ def _dense_from_dict(probs: dict):
 def _prob_column(column, keys: list, dense, probs: dict) -> list:
     """Per-chunk candidate-priority column: ``[table[k] for k in keys]``.
 
-    ``column`` is the chunk's raw key column (numpy when available);
+    ``column`` is the chunk's raw key column (numpy for integer keys);
     ``keys`` the expanded list the hot loop indexes.  The dense gather
     produces exactly the dict's float values (one float64 copy), so the
     two paths are bit-identical.
@@ -207,8 +216,6 @@ def _block_draws_equivalent(bound: int) -> bool:
     only sound if they consume the generator exactly as the per-tuple
     policy's scalar draws would.
     """
-    if not HAVE_NUMPY:
-        return False
     cached = _BLOCK_DRAW_OK.get(bound)
     if cached is None:
         probe_block = _np.random.default_rng(987654321)
@@ -221,6 +228,42 @@ def _block_draws_equivalent(bound: int) -> bool:
         )
         _BLOCK_DRAW_OK[bound] = cached
     return cached
+
+
+def _draws(rng, bound: int) -> Callable[[], int]:
+    """One RAND contest draw per call, pre-drawn from ``rng`` in blocks.
+
+    Blocks are drawn lazily, when the previous one runs out — the same
+    points in the generator's sequence a scalar-draw loop would reach.
+    """
+    block = _DRAW_BLOCK if _block_draws_equivalent(bound) else 1
+    return chain.from_iterable(
+        iter(lambda: rng.integers(bound, size=block).tolist(), None)
+    ).__next__
+
+
+def _swap_remove(
+    slots: list, pos: list, ring: list, counts: dict, window: int, slot: int
+) -> int:
+    """Swap-remove the resident at ``slot`` of a side; returns its arrival.
+
+    The cross-side eviction of a shared pool.  Own-side removals repeat
+    this inline: they are the hot path of both allocation modes.
+    """
+    arrival = slots[slot]
+    vidx = arrival % window
+    key = ring[vidx]
+    last = slots[-1]
+    slots[slot] = last
+    pos[last % window] = slot
+    slots.pop()
+    pos[vidx] = -1
+    remaining = counts[key] - 1
+    if remaining:
+        counts[key] = remaining
+    else:
+        del counts[key]
+    return arrival
 
 
 def rand_chunk_run(
@@ -241,30 +284,17 @@ def rand_chunk_run(
     """RAND over columnar chunks, bit-identical to the per-tuple run.
 
     ``rng_r``/``rng_s`` are the *policy instances'* own generators (the
-    S one is ``None`` on a shared pool), so the lane consumes the same
-    draw sequence the per-tuple contests would.  Victim selection
-    replicates slot-index draws against a swap-remove slot array of
-    arrival times; keys resolve through a ``window``-sized ring.
+    S one is ``None`` on a shared pool, where both sides draw from
+    ``rng_r``), so the lane consumes the same draw sequence the
+    per-tuple contests would.  Victim selection replicates slot-index
+    draws against a swap-remove slot array of arrival times; keys
+    resolve through a ``window``-sized ring.
     """
-    if variable:
-        return _rand_variable(
-            chunks, window, warmup, capacity, count_simultaneous, rng_r,
-            r_departures, s_departures, sampler, sample_every,
-        )
-    return _rand_fixed(
-        chunks, window, warmup, capacity, count_simultaneous, rng_r, rng_s,
-        r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _rand_fixed(
-    chunks, window, warmup, capacity, count_sim, rng_r, rng_s,
-    r_departures, s_departures, sampler, sample_every,
-):
-    half = capacity // 2
-    bound = half + 1  # residents (always exactly `half` in a contest) + newcomer
-    use_block = _block_draws_equivalent(bound)
-    block = _DRAW_BLOCK if use_block else 1
+    # A contest fires only on a full side (fixed) or pool (variable), so
+    # it always draws among `limit` residents plus the newcomer.
+    limit = capacity if variable else capacity // 2
+    draw_r = _draws(rng_r, limit + 1)
+    draw_s = draw_r if variable else _draws(rng_s, limit + 1)
 
     r_counts: dict = {}
     s_counts: dict = {}
@@ -274,10 +304,6 @@ def _rand_fixed(
     s_pos: list = [-1] * window
     r_slots: list = []  # slot index -> arrival, engine's swap-remove order
     s_slots: list = []
-    buf_r: list = []
-    buf_s: list = []
-    ir = len(buf_r)
-    is_ = len(buf_s)
 
     output = total_output = simultaneous_total = 0
     rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
@@ -332,252 +358,96 @@ def _rand_fixed(
 
             # 2. probes (before either same-tick admission).
             matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
             if t >= warmup:
                 output += matched
 
-            # 3. admissions: R first, then S.
-            if len(r_slots) < half:
+            # 3. admissions: R first, then S.  On a shared pool the drawn
+            # index walks R's slots, then S's — the order of
+            # JoinMemory.eviction_candidates.
+            if (len(r_slots) + len(s_slots) < capacity) if variable else (
+                len(r_slots) < limit
+            ):
                 r_pos[idx] = len(r_slots)
                 r_slots.append(t)
                 r_counts[r_key] = r_get(r_key, 0) + 1
             else:
-                if ir >= len(buf_r):
-                    buf_r = rng_r.integers(bound, size=block).tolist()
-                    ir = 0
-                victim = buf_r[ir]
-                ir += 1
-                if victim == half:  # the newcomer itself was drawn
+                victim = draw_r()
+                if victim == limit:  # the newcomer itself was drawn
                     rej_r += 1
                     if track:
                         r_departures[t] = t
                 else:
-                    arrival = r_slots[victim]
-                    vidx = arrival % window
-                    key = r_ring[vidx]
-                    last = r_slots[-1]
-                    r_slots[victim] = last
-                    r_pos[last % window] = victim
-                    r_slots.pop()
-                    r_pos[vidx] = -1
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
+                    if variable and victim >= len(r_slots):
+                        arrival = _swap_remove(
+                            s_slots, s_pos, s_ring, s_counts, window,
+                            victim - len(r_slots),
+                        )
+                        ev_s += 1
+                        if track:
+                            s_departures[arrival] = t
                     else:
-                        del r_counts[key]
-                    ev_r += 1
-                    if track:
-                        r_departures[arrival] = t
+                        arrival = r_slots[victim]
+                        vidx = arrival % window
+                        key = r_ring[vidx]
+                        last = r_slots[-1]
+                        r_slots[victim] = last
+                        r_pos[last % window] = victim
+                        r_slots.pop()
+                        r_pos[vidx] = -1
+                        remaining = r_counts[key] - 1
+                        if remaining:
+                            r_counts[key] = remaining
+                        else:
+                            del r_counts[key]
+                        ev_r += 1
+                        if track:
+                            r_departures[arrival] = t
                     r_pos[idx] = len(r_slots)
                     r_slots.append(t)
                     r_counts[r_key] = r_get(r_key, 0) + 1
 
-            if len(s_slots) < half:
+            if (len(r_slots) + len(s_slots) < capacity) if variable else (
+                len(s_slots) < limit
+            ):
                 s_pos[idx] = len(s_slots)
                 s_slots.append(t)
                 s_counts[s_key] = s_get(s_key, 0) + 1
             else:
-                if is_ >= len(buf_s):
-                    buf_s = rng_s.integers(bound, size=block).tolist()
-                    is_ = 0
-                victim = buf_s[is_]
-                is_ += 1
-                if victim == half:
+                victim = draw_s()
+                if victim == limit:
                     rej_s += 1
                     if track:
                         s_departures[t] = t
                 else:
-                    arrival = s_slots[victim]
-                    vidx = arrival % window
-                    key = s_ring[vidx]
-                    last = s_slots[-1]
-                    s_slots[victim] = last
-                    s_pos[last % window] = victim
-                    s_slots.pop()
-                    s_pos[vidx] = -1
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
+                    slot = victim - len(r_slots) if variable else victim
+                    if slot >= 0:
+                        arrival = s_slots[slot]
+                        vidx = arrival % window
+                        key = s_ring[vidx]
+                        last = s_slots[-1]
+                        s_slots[slot] = last
+                        s_pos[last % window] = slot
+                        s_slots.pop()
+                        s_pos[vidx] = -1
+                        remaining = s_counts[key] - 1
+                        if remaining:
+                            s_counts[key] = remaining
+                        else:
+                            del s_counts[key]
+                        ev_s += 1
+                        if track:
+                            s_departures[arrival] = t
                     else:
-                        del s_counts[key]
-                    ev_s += 1
-                    if track:
-                        s_departures[arrival] = t
-                    s_pos[idx] = len(s_slots)
-                    s_slots.append(t)
-                    s_counts[s_key] = s_get(s_key, 0) + 1
-
-            if sample_every and not t % sample_every:
-                sampler(t, len(r_slots), len(s_slots))
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, len(r_slots), len(s_slots),
-    )
-
-
-def _rand_variable(
-    chunks, window, warmup, capacity, count_sim, rng,
-    r_departures, s_departures, sampler, sample_every,
-):
-    bound = capacity + 1  # pool residents (always `capacity` in a contest) + newcomer
-    use_block = _block_draws_equivalent(bound)
-    block = _DRAW_BLOCK if use_block else 1
-
-    r_counts: dict = {}
-    s_counts: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_pos: list = [-1] * window
-    s_pos: list = [-1] * window
-    r_slots: list = []
-    s_slots: list = []
-    buf: list = []
-    ib = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-
-    def evict(index, now):
-        """Displace the pool resident at RAND's flattened slot index.
-
-        The draw walks R's slot array then S's — the order of
-        ``JoinMemory.eviction_candidates`` on a shared pool.
-        """
-        nonlocal ev_r, ev_s
-        if index < len(r_slots):
-            arrival = r_slots[index]
-            vidx = arrival % window
-            key = r_ring[vidx]
-            last = r_slots[-1]
-            r_slots[index] = last
-            r_pos[last % window] = index
-            r_slots.pop()
-            r_pos[vidx] = -1
-            remaining = r_counts[key] - 1
-            if remaining:
-                r_counts[key] = remaining
-            else:
-                del r_counts[key]
-            ev_r += 1
-            if track:
-                r_departures[arrival] = now
-        else:
-            index -= len(r_slots)
-            arrival = s_slots[index]
-            vidx = arrival % window
-            key = s_ring[vidx]
-            last = s_slots[-1]
-            s_slots[index] = last
-            s_pos[last % window] = index
-            s_slots.pop()
-            s_pos[vidx] = -1
-            remaining = s_counts[key] - 1
-            if remaining:
-                s_counts[key] = remaining
-            else:
-                del s_counts[key]
-            ev_s += 1
-            if track:
-                s_departures[arrival] = now
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                slot = r_pos[idx]
-                if slot >= 0:
-                    key = r_ring[idx]
-                    last = r_slots[-1]
-                    r_slots[slot] = last
-                    r_pos[last % window] = slot
-                    r_slots.pop()
-                    r_pos[idx] = -1
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
-                    else:
-                        del r_counts[key]
-                    exp_r += 1
-                slot = s_pos[idx]
-                if slot >= 0:
-                    key = s_ring[idx]
-                    last = s_slots[-1]
-                    s_slots[slot] = last
-                    s_pos[last % window] = slot
-                    s_slots.pop()
-                    s_pos[idx] = -1
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    exp_s += 1
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            if len(r_slots) + len(s_slots) < capacity:
-                r_pos[idx] = len(r_slots)
-                r_slots.append(t)
-                r_counts[r_key] = r_get(r_key, 0) + 1
-            else:
-                if ib >= len(buf):
-                    buf = rng.integers(bound, size=block).tolist()
-                    ib = 0
-                victim = buf[ib]
-                ib += 1
-                if victim == capacity:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-                else:
-                    evict(victim, t)
-                    r_pos[idx] = len(r_slots)
-                    r_slots.append(t)
-                    r_counts[r_key] = r_get(r_key, 0) + 1
-
-            # S admission against the shared pool.
-            if len(r_slots) + len(s_slots) < capacity:
-                s_pos[idx] = len(s_slots)
-                s_slots.append(t)
-                s_counts[s_key] = s_get(s_key, 0) + 1
-            else:
-                if ib >= len(buf):
-                    buf = rng.integers(bound, size=block).tolist()
-                    ib = 0
-                victim = buf[ib]
-                ib += 1
-                if victim == capacity:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-                else:
-                    evict(victim, t)
+                        arrival = _swap_remove(
+                            r_slots, r_pos, r_ring, r_counts, window, victim
+                        )
+                        ev_r += 1
+                        if track:
+                            r_departures[arrival] = t
                     s_pos[idx] = len(s_slots)
                     s_slots.append(t)
                     s_counts[s_key] = s_get(s_key, 0) + 1
@@ -595,6 +465,32 @@ def _rand_variable(
 # ----------------------------------------------------------------------
 # PROB
 # ----------------------------------------------------------------------
+
+def _forget(
+    alive: set, counts: dict, ring: list, window: int, arrival: int
+) -> None:
+    """Drop a resident from a side's alive set and key counts.
+
+    The cross-side eviction of a shared pool (PROB); own-side removals
+    repeat this inline on the hot path.
+    """
+    alive.remove(arrival)
+    key = ring[arrival % window]
+    remaining = counts[key] - 1
+    if remaining:
+        counts[key] = remaining
+    else:
+        del counts[key]
+
+
+def _compact(heap: list, alive: tuple) -> None:
+    """Drop stale entries from a lazy PROB heap, in place (a shared pool
+    aliases one heap to both sides).  Purely a memory bound: the heap
+    orders by the total ``(priority, arrival, side)``, so pops are
+    unaffected."""
+    heap[:] = [entry for entry in heap if entry[1] in alive[entry[2]]]
+    heapq.heapify(heap)
+
 
 def prob_chunk_run(
     chunks: Iterable[StreamChunk],
@@ -616,25 +512,12 @@ def prob_chunk_run(
     ``probs_r``/``probs_s`` map a key to the *partner* probability of an
     R-side / S-side tuple carrying it (``p_S`` / ``p_R`` — the policies'
     static caches).  Candidate priorities are gathered per chunk; the
-    weakest resident comes from a lazy ``(priority, arrival)`` min-heap,
-    which orders exactly like ``ProbPolicy``'s record heap because
-    per-side arrivals are unique.
+    weakest resident comes from a lazy ``(priority, arrival, side)``
+    min-heap per side (one shared heap on a shared pool), which orders
+    exactly like ``ProbPolicy``'s record heap: per-side arrivals are
+    unique, and an equal ``(priority, arrival)`` across sides can only
+    be one tick's R and S admissions, where R (side 0) was admitted first.
     """
-    if variable:
-        return _prob_variable(
-            chunks, window, warmup, capacity, count_simultaneous,
-            probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-        )
-    return _prob_fixed(
-        chunks, window, warmup, capacity, count_simultaneous,
-        probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _prob_fixed(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
     half = capacity // 2
     dense_r = _dense_from_dict(probs_r)
     dense_s = _dense_from_dict(probs_s)
@@ -645,9 +528,13 @@ def _prob_fixed(
     s_ring: list = [None] * window
     r_alive: set = set()  # resident arrival times
     s_alive: set = set()
-    r_heap: list = []  # (partner probability, arrival); lazy deletions
-    s_heap: list = []
-    r_dead = s_dead = 0
+    alive = (r_alive, s_alive)  # indexed by a heap entry's side
+    r_len = s_len = 0  # occupancy; cheaper than len() on the hot path
+    r_heap: list = []  # (partner probability, arrival, side); lazy deletions
+    s_heap: list = r_heap if variable else []
+    # Only expiries leave stale entries, and a heap holds at most
+    # `capacity` live ones: past this size over half of it is stale.
+    heap_cap = 2 * capacity + 64
 
     output = total_output = simultaneous_total = 0
     rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
@@ -658,6 +545,7 @@ def _prob_fixed(
     s_get = s_counts.get
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
     for chunk in chunks:
         r_keys = chunk.r_list()
@@ -678,16 +566,10 @@ def _prob_fixed(
                         r_counts[key] = remaining
                     else:
                         del r_counts[key]
+                    r_len -= 1
                     exp_r += 1
-                    # The heap entry just went stale; compact like
-                    # ProbPolicy.on_remove (order-preserving, so
-                    # decisions are unaffected — this is purely a
-                    # memory bound for long streams).
-                    r_dead += 1
-                    if r_dead > 64 and 2 * r_dead > len(r_heap):
-                        r_heap = [e for e in r_heap if e[1] in r_alive]
-                        heapq.heapify(r_heap)
-                        r_dead = 0
+                    if len(r_heap) > heap_cap:
+                        _compact(r_heap, alive)
                 if old in s_alive:
                     s_alive.remove(old)
                     key = s_ring[idx]
@@ -696,12 +578,10 @@ def _prob_fixed(
                         s_counts[key] = remaining
                     else:
                         del s_counts[key]
+                    s_len -= 1
                     exp_s += 1
-                    s_dead += 1
-                    if s_dead > 64 and 2 * s_dead > len(s_heap):
-                        s_heap = [e for e in s_heap if e[1] in s_alive]
-                        heapq.heapify(s_heap)
-                        s_dead = 0
+                    if len(s_heap) > heap_cap:
+                        _compact(s_heap, alive)
 
             r_key = r_keys[i]
             s_key = s_keys[i]
@@ -709,7 +589,7 @@ def _prob_fixed(
             s_ring[idx] = s_key
 
             matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
@@ -718,33 +598,43 @@ def _prob_fixed(
 
             # R admission.
             cp = cp_r[i]
-            if len(r_alive) < half:
+            if (r_len + s_len < capacity) if variable else (r_len < half):
                 r_alive.add(t)
-                heappush(r_heap, (cp, t))
+                heappush(r_heap, (cp, t, 0))
                 r_counts[r_key] = r_get(r_key, 0) + 1
+                r_len += 1
             else:
                 while True:
-                    wp, wa = r_heap[0]
-                    if wa in r_alive:
+                    wp, wa, wside = r_heap[0]
+                    if wa in alive[wside]:
                         break
                     heappop(r_heap)
-                    r_dead -= 1
-                # later_arrival_wins(wp, wa, cp, t) with wa < t always
-                # (own side only, newcomer not yet inserted).
-                if wp <= cp:
-                    heappop(r_heap)
-                    r_alive.remove(wa)
-                    key = r_ring[wa % window]
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
+                # later_arrival_wins: on a shared pool the weakest may
+                # share the newcomer's tick (this tick's R during the S
+                # contest); an own-side resident is always older.
+                if wp < cp or (wp == cp and wa < t):
+                    # One sift pops the weakest and pushes the newcomer;
+                    # entries are distinct, so later pops are unchanged.
+                    heapreplace(r_heap, (cp, t, 0))
+                    if wside:  # only on a shared pool
+                        _forget(s_alive, s_counts, s_ring, window, wa)
+                        s_len -= 1
+                        r_len += 1
+                        ev_s += 1
+                        if track:
+                            s_departures[wa] = t
                     else:
-                        del r_counts[key]
-                    ev_r += 1
-                    if track:
-                        r_departures[wa] = t
+                        r_alive.remove(wa)
+                        key = r_ring[wa % window]
+                        remaining = r_counts[key] - 1
+                        if remaining:
+                            r_counts[key] = remaining
+                        else:
+                            del r_counts[key]
+                        ev_r += 1
+                        if track:
+                            r_departures[wa] = t
                     r_alive.add(t)
-                    heappush(r_heap, (cp, t))
                     r_counts[r_key] = r_get(r_key, 0) + 1
                 else:
                     rej_r += 1
@@ -753,158 +643,20 @@ def _prob_fixed(
 
             # S admission.
             cp = cp_s[i]
-            if len(s_alive) < half:
+            if (r_len + s_len < capacity) if variable else (s_len < half):
                 s_alive.add(t)
-                heappush(s_heap, (cp, t))
+                heappush(s_heap, (cp, t, 1))
                 s_counts[s_key] = s_get(s_key, 0) + 1
+                s_len += 1
             else:
                 while True:
-                    wp, wa = s_heap[0]
-                    if wa in s_alive:
+                    wp, wa, wside = s_heap[0]
+                    if wa in alive[wside]:
                         break
                     heappop(s_heap)
-                    s_dead -= 1
-                if wp <= cp:
-                    heappop(s_heap)
-                    s_alive.remove(wa)
-                    key = s_ring[wa % window]
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    ev_s += 1
-                    if track:
-                        s_departures[wa] = t
-                    s_alive.add(t)
-                    heappush(s_heap, (cp, t))
-                    s_counts[s_key] = s_get(s_key, 0) + 1
-                else:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-
-            if sample_every and not t % sample_every:
-                sampler(t, len(r_alive), len(s_alive))
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, len(r_alive), len(s_alive),
-    )
-
-
-def _prob_variable(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
-    dense_r = _dense_from_dict(probs_r)
-    dense_s = _dense_from_dict(probs_s)
-
-    r_counts: dict = {}
-    s_counts: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_alive: set = set()
-    s_alive: set = set()
-    # One heap for the shared pool: (priority, arrival, side) with R=0 /
-    # S=1 — the same pop order as ProbPolicy's sequence numbers, because
-    # an equal (priority, arrival) pair can only be the same tick's R
-    # and S admissions, and R is admitted first.
-    heap: list = []
-    dead = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    r_get = r_counts.get
-    s_get = s_counts.get
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        cp_r = _prob_column(chunk.r_keys, r_keys, dense_r, probs_r)
-        cp_s = _prob_column(chunk.s_keys, s_keys, dense_s, probs_s)
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                old = t - window
-                if old in r_alive:
-                    r_alive.remove(old)
-                    key = r_ring[idx]
-                    remaining = r_counts[key] - 1
-                    if remaining:
-                        r_counts[key] = remaining
-                    else:
-                        del r_counts[key]
-                    exp_r += 1
-                    dead += 1
-                if old in s_alive:
-                    s_alive.remove(old)
-                    key = s_ring[idx]
-                    remaining = s_counts[key] - 1
-                    if remaining:
-                        s_counts[key] = remaining
-                    else:
-                        del s_counts[key]
-                    exp_s += 1
-                    dead += 1
-                if dead > 64 and 2 * dead > len(heap):
-                    heap = [
-                        e for e in heap
-                        if e[1] in (r_alive if e[2] == 0 else s_alive)
-                    ]
-                    heapq.heapify(heap)
-                    dead = 0
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            matched = s_get(r_key, 0) + r_get(s_key, 0)
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            cp = cp_r[i]
-            if len(r_alive) + len(s_alive) < capacity:
-                r_alive.add(t)
-                heappush(heap, (cp, t, 0))
-                r_counts[r_key] = r_get(r_key, 0) + 1
-            else:
-                while True:
-                    wp, wa, wside = heap[0]
-                    if wa in (r_alive if wside == 0 else s_alive):
-                        break
-                    heappop(heap)
-                    dead -= 1
-                # Full later_arrival_wins: the weakest may share the
-                # newcomer's tick (this tick's R during the S contest).
                 if wp < cp or (wp == cp and wa < t):
-                    heappop(heap)
-                    if wside == 0:
-                        r_alive.remove(wa)
-                        key = r_ring[wa % window]
-                        remaining = r_counts[key] - 1
-                        if remaining:
-                            r_counts[key] = remaining
-                        else:
-                            del r_counts[key]
-                        ev_r += 1
-                        if track:
-                            r_departures[wa] = t
-                    else:
+                    heapreplace(s_heap, (cp, t, 1))
+                    if wside:
                         s_alive.remove(wa)
                         key = s_ring[wa % window]
                         remaining = s_counts[key] - 1
@@ -915,53 +667,14 @@ def _prob_variable(
                         ev_s += 1
                         if track:
                             s_departures[wa] = t
-                    r_alive.add(t)
-                    heappush(heap, (cp, t, 0))
-                    r_counts[r_key] = r_get(r_key, 0) + 1
-                else:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-
-            # S admission against the shared pool.
-            cp = cp_s[i]
-            if len(r_alive) + len(s_alive) < capacity:
-                s_alive.add(t)
-                heappush(heap, (cp, t, 1))
-                s_counts[s_key] = s_get(s_key, 0) + 1
-            else:
-                while True:
-                    wp, wa, wside = heap[0]
-                    if wa in (r_alive if wside == 0 else s_alive):
-                        break
-                    heappop(heap)
-                    dead -= 1
-                if wp < cp or (wp == cp and wa < t):
-                    heappop(heap)
-                    if wside == 0:
-                        r_alive.remove(wa)
-                        key = r_ring[wa % window]
-                        remaining = r_counts[key] - 1
-                        if remaining:
-                            r_counts[key] = remaining
-                        else:
-                            del r_counts[key]
+                    else:  # only on a shared pool
+                        _forget(r_alive, r_counts, r_ring, window, wa)
+                        r_len -= 1
+                        s_len += 1
                         ev_r += 1
                         if track:
                             r_departures[wa] = t
-                    else:
-                        s_alive.remove(wa)
-                        key = s_ring[wa % window]
-                        remaining = s_counts[key] - 1
-                        if remaining:
-                            s_counts[key] = remaining
-                        else:
-                            del s_counts[key]
-                        ev_s += 1
-                        if track:
-                            s_departures[wa] = t
                     s_alive.add(t)
-                    heappush(heap, (cp, t, 1))
                     s_counts[s_key] = s_get(s_key, 0) + 1
                 else:
                     rej_s += 1
@@ -969,12 +682,12 @@ def _prob_variable(
                         s_departures[t] = t
 
             if sample_every and not t % sample_every:
-                sampler(t, len(r_alive), len(s_alive))
+                sampler(t, r_len, s_len)
         length = base + chunk.length
 
     return LaneTotals(
         output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, len(r_alive), len(s_alive),
+        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, r_len, s_len,
     )
 
 
@@ -1007,21 +720,6 @@ def life_chunk_run(
     per-chunk candidate column is ``window * p`` gathered from the same
     tables, so every contest decides exactly as the per-tuple policy.
     """
-    if variable:
-        return _life_variable(
-            chunks, window, warmup, capacity, count_simultaneous,
-            probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-        )
-    return _life_fixed(
-        chunks, window, warmup, capacity, count_simultaneous,
-        probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-    )
-
-
-def _life_fixed(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
     half = capacity // 2
     dense_r = _dense_from_dict(probs_r)
     dense_s = _dense_from_dict(probs_s)
@@ -1035,9 +733,15 @@ def _life_fixed(
     # popleft keeps the deque equal to the memory's per-key FIFO.
     r_cells: dict = {}
     s_cells: dict = {}
+    # The cells each side's contest scans: its own, or on a shared pool
+    # R's then S's — the fold order of LifePolicy._weakest over
+    # eviction_candidates.
+    r_scan = (r_cells, s_cells) if variable else (r_cells,)
+    s_scan = (r_cells, s_cells) if variable else (s_cells,)
     r_ring: list = [None] * window
     s_ring: list = [None] * window
     r_len = s_len = 0
+    inf = float("inf")
 
     output = total_output = simultaneous_total = 0
     rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
@@ -1086,7 +790,7 @@ def _life_fixed(
             cell = r_cells.get(s_key)
             if cell is not None:
                 matched += len(cell[0])
-            if count_sim and r_key == s_key:
+            if count_simultaneous and r_key == s_key:
                 matched += 1
                 simultaneous_total += 1
             total_output += matched
@@ -1094,7 +798,7 @@ def _life_fixed(
                 output += matched
 
             # R admission.
-            if r_len < half:
+            if (r_len + s_len < capacity) if variable else (r_len < half):
                 cell = r_cells.get(r_key)
                 if cell is None:
                     r_cells[r_key] = (deque((t,)), p_r[i])
@@ -1104,32 +808,41 @@ def _life_fixed(
             else:
                 # Weakest-victim scan: once per contest, one deque peek
                 # and one multiply per distinct resident key.  First-
-                # seen wins exact ties, but per-side arrivals are
-                # unique, so (priority, arrival) never ties and scan
-                # order is immaterial.
+                # seen wins exact ties, so a cross-side (priority,
+                # arrival) tie keeps the R contender, as the sequential
+                # fold does; within a side arrivals are unique.
                 offset = window - t
-                best_key = None
+                best_cells = best_key = None
                 best_a = -1
-                best_pri = 0.0
-                for key, cell in r_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                # later_arrival_wins(best_pri, best_a, cand, t) with
-                # best_a < t always (own side only).
-                if best_pri <= candp_r[i]:
-                    dq = r_cells[best_key][0]
+                best_pri = inf  # every finite priority beats it
+                for cells in r_scan:
+                    for key, cell in cells.items():
+                        a0 = cell[0][0]
+                        pri = (a0 + offset) * cell[1]
+                        if pri < best_pri or (pri == best_pri and a0 < best_a):
+                            best_cells = cells
+                            best_key = key
+                            best_a = a0
+                            best_pri = pri
+                cand = candp_r[i]
+                # later_arrival_wins: on a shared pool the weakest may
+                # share the newcomer's tick (this tick's R during the S
+                # contest); an own-side resident is always older.
+                if best_pri < cand or (best_pri == cand and best_a < t):
+                    dq = best_cells[best_key][0]
                     dq.popleft()
                     if not dq:
-                        del r_cells[best_key]
-                    ev_r += 1
-                    if track:
-                        r_departures[best_a] = t
+                        del best_cells[best_key]
+                    if best_cells is r_cells:
+                        ev_r += 1
+                        if track:
+                            r_departures[best_a] = t
+                    else:  # only on a shared pool
+                        ev_s += 1
+                        s_len -= 1
+                        r_len += 1
+                        if track:
+                            s_departures[best_a] = t
                     cell = r_cells.get(r_key)
                     if cell is None:
                         r_cells[r_key] = (deque((t,)), p_r[i])
@@ -1141,7 +854,7 @@ def _life_fixed(
                         r_departures[t] = t
 
             # S admission.
-            if s_len < half:
+            if (r_len + s_len < capacity) if variable else (s_len < half):
                 cell = s_cells.get(s_key)
                 if cell is None:
                     s_cells[s_key] = (deque((t,)), p_s[i])
@@ -1150,240 +863,39 @@ def _life_fixed(
                 s_len += 1
             else:
                 offset = window - t
-                best_key = None
+                best_cells = best_key = None
                 best_a = -1
-                best_pri = 0.0
-                for key, cell in s_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                if best_pri <= candp_s[i]:
-                    dq = s_cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del s_cells[best_key]
-                    ev_s += 1
-                    if track:
-                        s_departures[best_a] = t
-                    cell = s_cells.get(s_key)
-                    if cell is None:
-                        s_cells[s_key] = (deque((t,)), p_s[i])
-                    else:
-                        cell[0].append(t)
-                else:
-                    rej_s += 1
-                    if track:
-                        s_departures[t] = t
-
-            if sample_every and not t % sample_every:
-                sampler(t, r_len, s_len)
-        length = base + chunk.length
-
-    return LaneTotals(
-        output, total_output, simultaneous_total, length,
-        rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, r_len, s_len,
-    )
-
-
-def _life_variable(
-    chunks, window, warmup, capacity, count_sim,
-    probs_r, probs_s, r_departures, s_departures, sampler, sample_every,
-):
-    dense_r = _dense_from_dict(probs_r)
-    dense_s = _dense_from_dict(probs_s)
-    cand_dense_r = dense_r * window if dense_r is not None else None
-    cand_dense_s = dense_s * window if dense_s is not None else None
-    cand_probs_r = {key: window * p for key, p in probs_r.items()}
-    cand_probs_s = {key: window * p for key, p in probs_s.items()}
-
-    r_cells: dict = {}
-    s_cells: dict = {}
-    r_ring: list = [None] * window
-    s_ring: list = [None] * window
-    r_len = s_len = 0
-
-    output = total_output = simultaneous_total = 0
-    rej_r = rej_s = ev_r = ev_s = exp_r = exp_s = 0
-    length = 0
-    track = r_departures is not None
-
-    for chunk in chunks:
-        r_keys = chunk.r_list()
-        s_keys = chunk.s_list()
-        p_r = _prob_column(chunk.r_keys, r_keys, dense_r, probs_r)
-        p_s = _prob_column(chunk.s_keys, s_keys, dense_s, probs_s)
-        candp_r = _prob_column(chunk.r_keys, r_keys, cand_dense_r, cand_probs_r)
-        candp_s = _prob_column(chunk.s_keys, s_keys, cand_dense_s, cand_probs_s)
-        base = chunk.start
-        for i in range(chunk.length):
-            t = base + i
-            idx = t % window
-            if t >= window:
-                old = t - window
-                key = r_ring[idx]
-                cell = r_cells.get(key)
-                if cell is not None and cell[0][0] == old:
-                    dq = cell[0]
-                    dq.popleft()
-                    if not dq:
-                        del r_cells[key]
-                    exp_r += 1
-                    r_len -= 1
-                key = s_ring[idx]
-                cell = s_cells.get(key)
-                if cell is not None and cell[0][0] == old:
-                    dq = cell[0]
-                    dq.popleft()
-                    if not dq:
-                        del s_cells[key]
-                    exp_s += 1
-                    s_len -= 1
-
-            r_key = r_keys[i]
-            s_key = s_keys[i]
-            r_ring[idx] = r_key
-            s_ring[idx] = s_key
-
-            cell = s_cells.get(r_key)
-            matched = len(cell[0]) if cell is not None else 0
-            cell = r_cells.get(s_key)
-            if cell is not None:
-                matched += len(cell[0])
-            if count_sim and r_key == s_key:
-                matched += 1
-                simultaneous_total += 1
-            total_output += matched
-            if t >= warmup:
-                output += matched
-
-            # R admission against the shared pool.
-            if r_len + s_len < capacity:
-                cell = r_cells.get(r_key)
-                if cell is None:
-                    r_cells[r_key] = (deque((t,)), p_r[i])
-                else:
-                    cell[0].append(t)
-                r_len += 1
-            else:
-                # Pool-wide scan, R cells first then S — the fold order
-                # of LifePolicy._weakest over eviction_candidates; a
-                # cross-side (priority, arrival) tie keeps the R
-                # contender, exactly as the sequential fold does.
-                offset = window - t
-                best_side = 0
-                best_key = None
-                best_a = -1
-                best_pri = 0.0
-                for key, cell in r_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                for key, cell in s_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_side = 1
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                cand = candp_r[i]
-                # Full later_arrival_wins: the weakest may share the
-                # newcomer's tick (this tick's R during the S contest).
-                if best_pri < cand or (best_pri == cand and best_a < t):
-                    cells = r_cells if best_side == 0 else s_cells
-                    dq = cells[best_key][0]
-                    dq.popleft()
-                    if not dq:
-                        del cells[best_key]
-                    if best_side == 0:
-                        ev_r += 1
-                        r_len -= 1
-                        if track:
-                            r_departures[best_a] = t
-                    else:
-                        ev_s += 1
-                        s_len -= 1
-                        if track:
-                            s_departures[best_a] = t
-                    cell = r_cells.get(r_key)
-                    if cell is None:
-                        r_cells[r_key] = (deque((t,)), p_r[i])
-                    else:
-                        cell[0].append(t)
-                    r_len += 1
-                else:
-                    rej_r += 1
-                    if track:
-                        r_departures[t] = t
-
-            # S admission against the shared pool.
-            if r_len + s_len < capacity:
-                cell = s_cells.get(s_key)
-                if cell is None:
-                    s_cells[s_key] = (deque((t,)), p_s[i])
-                else:
-                    cell[0].append(t)
-                s_len += 1
-            else:
-                offset = window - t
-                best_side = 0
-                best_key = None
-                best_a = -1
-                best_pri = 0.0
-                for key, cell in r_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
-                for key, cell in s_cells.items():
-                    a0 = cell[0][0]
-                    pri = (a0 + offset) * cell[1]
-                    if best_a < 0 or pri < best_pri or (
-                        pri == best_pri and a0 < best_a
-                    ):
-                        best_side = 1
-                        best_key = key
-                        best_a = a0
-                        best_pri = pri
+                best_pri = inf  # every finite priority beats it
+                for cells in s_scan:
+                    for key, cell in cells.items():
+                        a0 = cell[0][0]
+                        pri = (a0 + offset) * cell[1]
+                        if pri < best_pri or (pri == best_pri and a0 < best_a):
+                            best_cells = cells
+                            best_key = key
+                            best_a = a0
+                            best_pri = pri
                 cand = candp_s[i]
                 if best_pri < cand or (best_pri == cand and best_a < t):
-                    cells = r_cells if best_side == 0 else s_cells
-                    dq = cells[best_key][0]
+                    dq = best_cells[best_key][0]
                     dq.popleft()
                     if not dq:
-                        del cells[best_key]
-                    if best_side == 0:
-                        ev_r += 1
-                        r_len -= 1
-                        if track:
-                            r_departures[best_a] = t
-                    else:
+                        del best_cells[best_key]
+                    if best_cells is s_cells:
                         ev_s += 1
-                        s_len -= 1
                         if track:
                             s_departures[best_a] = t
+                    else:  # only on a shared pool
+                        ev_r += 1
+                        r_len -= 1
+                        s_len += 1
+                        if track:
+                            r_departures[best_a] = t
                     cell = s_cells.get(s_key)
                     if cell is None:
                         s_cells[s_key] = (deque((t,)), p_s[i])
                     else:
                         cell[0].append(t)
-                    s_len += 1
                 else:
                     rej_s += 1
                     if track:

@@ -9,7 +9,10 @@ into this one: on any mismatch :meth:`load` returns ``None`` and the
 shard replays from tick 0, which is always correct, just slower.
 
 Writes are atomic (temp file + ``os.replace``) so a worker killed
-mid-save leaves the previous checkpoint intact.  Payloads are pickled:
+mid-save leaves the previous checkpoint intact.  A file is the SHA-256
+digest of the pickled payload followed by the payload itself; a file
+whose bytes no longer match their digest (torn, flipped, truncated, or
+written before digests existed) is never unpickled.  Payloads are pickled:
 join keys are arbitrary hashable objects and RNG states are numpy
 structures — JSON would need a parallel encoding for no benefit, and
 checkpoints are private scratch, not an interchange format.
@@ -17,6 +20,7 @@ checkpoints are private scratch, not an interchange format.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import re
@@ -31,6 +35,9 @@ from ..obs import telemetry as _telemetry
 __all__ = ["CheckpointStore"]
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: Length of the SHA-256 digest that prefixes every checkpoint file.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 class CheckpointStore:
@@ -57,13 +64,15 @@ class CheckpointStore:
             "fingerprint": fingerprint,
             "state": state,
         }
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.root), prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(hashlib.sha256(body).digest())
+                handle.write(body)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -79,16 +88,22 @@ class CheckpointStore:
     def load(self, key: str, *, fingerprint: str) -> Optional[dict]:
         """The saved state for ``key``, or ``None`` when absent/unusable.
 
-        Corrupt files, schema mismatches, and fingerprint mismatches all
-        collapse to ``None`` — resuming from nothing is always safe.
+        Corrupt files (a digest that does not match the payload, or a
+        payload that fails to unpickle), schema mismatches, and
+        fingerprint mismatches all collapse to ``None`` — resuming from
+        nothing is always safe.
         """
         path = self.path_for(key)
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        digest, body = data[:_DIGEST_BYTES], data[_DIGEST_BYTES:]
+        if hashlib.sha256(body).digest() != digest:
             return None
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            payload = pickle.loads(body)
+        except Exception:  # e.g. a class the payload names has moved since
             return None
         if not isinstance(payload, dict):
             return None

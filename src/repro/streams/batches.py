@@ -10,16 +10,13 @@ amortise per-tuple costs over a whole chunk (see
 
 Column representation
 ---------------------
-Integer key streams (every synthetic workload) are packed into
-``array('q')`` columns — contiguous C ``long long`` storage, cheap to
-slice and to expand back into lists for the hot loop.  When numpy is
-available the whole-stream column is built through ``numpy.asarray``
-(the fast lane: one C conversion instead of a Python loop per element);
-non-integer keys (e.g. string keys from user-supplied pairs) fall back
-to plain tuples.  Either way :meth:`StreamChunk.r_list` /
-:meth:`StreamChunk.s_list` hand the hot loop ordinary Python lists of
-ordinary Python objects, so dictionary probes hash native ints, not
-numpy scalars.
+Integer key streams (every synthetic workload) become numpy integer
+columns, built with one ``numpy.asarray`` call: chunk slices are O(1)
+views and expand back into lists in C.  Non-integer keys (e.g. string
+keys from user-supplied pairs) fall back to plain tuples.  Either way
+:meth:`StreamChunk.r_list` / :meth:`StreamChunk.s_list` hand the hot
+loop ordinary Python lists of ordinary Python objects, so dictionary
+probes hash native ints, not numpy scalars.
 
 The encoding is pure layout — no semantics live here.  A batched run
 must remain bit-identical to the per-tuple run; chunk boundaries are
@@ -28,18 +25,14 @@ invisible in every result field.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, Optional, Sequence
+
+import numpy as _np
 
 from .tuples import StreamPair
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY on both kinds of host
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
+#: numpy is a declared dependency; kept because the benchmarks record it.
+HAVE_NUMPY = True
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -61,9 +54,8 @@ class StreamChunk:
 
     ``start`` is the global tick of the chunk's first element; the chunk
     covers ticks ``start .. start + length - 1``.  ``r_keys`` / ``s_keys``
-    are column slices (``array('q')``, numpy array, or tuple — see module
-    docstring); the ``*_list`` accessors expand them to plain lists for
-    the hot loop.
+    are column slices (numpy array or tuple — see module docstring); the
+    ``*_list`` accessors expand them to plain lists for the hot loop.
     """
 
     __slots__ = ("start", "length", "r_keys", "s_keys")
@@ -90,7 +82,7 @@ class StreamChunk:
 def _as_list(column) -> list:
     """Expand a column slice to a plain Python list (native objects)."""
     tolist = getattr(column, "tolist", None)
-    if tolist is not None:  # array('q') and numpy both convert in C
+    if tolist is not None:  # numpy converts in C
         return tolist()
     return list(column)
 
@@ -98,23 +90,18 @@ def _as_list(column) -> list:
 def _encode_column(keys: Sequence):
     """Pack one stream's keys into the densest column that fits.
 
-    Integer keys become ``array('q')`` (via numpy when available — one
-    vectorised conversion); anything else is kept as an opaque tuple.
+    Integer keys become a numpy column (one vectorised conversion);
+    anything else is kept as an opaque tuple.
     """
-    if HAVE_NUMPY:
-        try:
-            column = _np.asarray(keys)
-        except (ValueError, TypeError):
-            return tuple(keys)
-        if column.dtype.kind in ("i", "u") and column.ndim == 1:
-            # Keep the numpy column: chunk slices are O(1) views and
-            # tolist() expands to native ints in C.
-            return column
-        return tuple(keys)
     try:
-        return array("q", keys)
-    except (TypeError, OverflowError):
+        column = _np.asarray(keys)
+    except (ValueError, TypeError):
         return tuple(keys)
+    if column.dtype.kind in ("i", "u") and column.ndim == 1:
+        # Keep the numpy column: chunk slices are O(1) views and
+        # tolist() expands to native ints in C.
+        return column
+    return tuple(keys)
 
 
 def encode_columns(pair: StreamPair) -> tuple:

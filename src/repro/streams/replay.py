@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .tuples import StreamPair
 
@@ -95,36 +95,40 @@ def save_pair_jsonl(pair: StreamPair, path: Union[str, Path]) -> None:
             handle.write(json.dumps({"t": t, "r": [r_key], "s": [s_key]}) + "\n")
 
 
-def load_pair_jsonl(
-    path: Union[str, Path], *, key_type=int, name: str = ""
-) -> StreamPair:
-    """Read a stream pair previously written by :func:`save_pair_jsonl`.
+def read_jsonl_header(path: Path) -> dict:
+    """The validated header object of a JSONL recording.
 
-    Raises
-    ------
-    ValueError
-        On a missing/foreign header, an unsupported version, a
-        non-contiguous tick column, or ticks carrying anything other
-        than one arrival per side (pairs are synchronous by definition;
-        bursty recordings replay through ``ReplaySource`` instead).
+    Raises ``ValueError`` on an empty file, a foreign format tag, or an
+    unsupported version.
     """
-    path = Path(path)
-    r_keys = []
-    s_keys = []
     with path.open() as handle:
         first = handle.readline()
-        if not first:
-            raise ValueError(f"{path}: empty replay file")
-        header = json.loads(first)
-        if header.get("format") != JSONL_FORMAT:
-            raise ValueError(
-                f"{path}: expected format {JSONL_FORMAT!r}, got {header.get('format')!r}"
-            )
-        if header.get("version") != JSONL_VERSION:
-            raise ValueError(
-                f"{path}: unsupported replay version {header.get('version')!r} "
-                f"(supported: {JSONL_VERSION})"
-            )
+    if not first:
+        raise ValueError(f"{path}: empty replay file")
+    header = json.loads(first)
+    if header.get("format") != JSONL_FORMAT:
+        raise ValueError(
+            f"{path}: expected format {JSONL_FORMAT!r}, got {header.get('format')!r}"
+        )
+    if header.get("version") != JSONL_VERSION:
+        raise ValueError(
+            f"{path}: unsupported replay version {header.get('version')!r} "
+            f"(supported: {JSONL_VERSION})"
+        )
+    return header
+
+
+def iter_jsonl_ticks(path: Path, header: dict) -> Iterator[tuple]:
+    """Each tick's raw ``(r_batch, s_batch)`` of a JSONL recording.
+
+    ``header`` is the file's :func:`read_jsonl_header`.  Raises
+    ``ValueError`` on a non-contiguous tick column and, on reaching the
+    end of the file, when the header declares a different length — a
+    truncated recording must not replay as a shorter stream.
+    """
+    ticks = 0
+    with path.open() as handle:
+        handle.readline()  # the header
         for expected_tick, line in enumerate(handle):
             if not line.strip():
                 continue
@@ -134,20 +138,41 @@ def load_pair_jsonl(
                     f"{path}: tick column must be contiguous from 0, "
                     f"got {event.get('t')} at position {expected_tick}"
                 )
-            r_batch = event.get("r", ())
-            s_batch = event.get("s", ())
-            if len(r_batch) != 1 or len(s_batch) != 1:
-                raise ValueError(
-                    f"{path}: tick {expected_tick} carries {len(r_batch)}/"
-                    f"{len(s_batch)} arrivals; a StreamPair needs exactly one "
-                    f"per side — replay bursty recordings via ReplaySource"
-                )
-            r_keys.append(key_type(r_batch[0]))
-            s_keys.append(key_type(s_batch[0]))
+            ticks += 1
+            yield event.get("r", ()), event.get("s", ())
     declared = header.get("length")
-    if declared is not None and declared != len(r_keys):
+    if declared is not None and declared != ticks:
         raise ValueError(
             f"{path}: header declares length {declared} but file has "
-            f"{len(r_keys)} ticks"
+            f"{ticks} ticks"
         )
+
+
+def load_pair_jsonl(
+    path: Union[str, Path], *, key_type=int, name: str = ""
+) -> StreamPair:
+    """Read a stream pair previously written by :func:`save_pair_jsonl`.
+
+    Raises
+    ------
+    ValueError
+        On a missing/foreign header, an unsupported version, a
+        non-contiguous tick column, a tick count other than the
+        header's declared length, or ticks carrying anything other
+        than one arrival per side (pairs are synchronous by definition;
+        bursty recordings replay through ``ReplaySource`` instead).
+    """
+    path = Path(path)
+    header = read_jsonl_header(path)
+    r_keys = []
+    s_keys = []
+    for tick, (r_batch, s_batch) in enumerate(iter_jsonl_ticks(path, header)):
+        if len(r_batch) != 1 or len(s_batch) != 1:
+            raise ValueError(
+                f"{path}: tick {tick} carries {len(r_batch)}/"
+                f"{len(s_batch)} arrivals; a StreamPair needs exactly one "
+                f"per side — replay bursty recordings via ReplaySource"
+            )
+        r_keys.append(key_type(r_batch[0]))
+        s_keys.append(key_type(s_batch[0]))
     return StreamPair(r=r_keys, s=s_keys, name=name or str(header.get("name") or path.stem))

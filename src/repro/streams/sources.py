@@ -24,7 +24,6 @@ are unbounded unless given an explicit ``length``, and
 
 from __future__ import annotations
 
-import json
 from itertools import islice, takewhile
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, Optional, Protocol, Union, runtime_checkable
@@ -33,7 +32,7 @@ import numpy as np
 
 from .arrival import poisson_schedule
 from .generators import _permutations_for
-from .replay import JSONL_FORMAT, JSONL_VERSION, load_pair
+from .replay import iter_jsonl_ticks, load_pair, read_jsonl_header
 from .tuples import StreamPair
 from .zipf import ZipfDistribution
 
@@ -372,22 +371,7 @@ class ReplaySource:
     def _read_header(self) -> dict:
         if self.path.suffix == ".csv":
             return {"format": "csv", "length": None}
-        with self.path.open() as handle:
-            first = handle.readline()
-        if not first:
-            raise ValueError(f"{self.path}: empty replay file")
-        header = json.loads(first)
-        if header.get("format") != JSONL_FORMAT:
-            raise ValueError(
-                f"{self.path}: expected format {JSONL_FORMAT!r}, "
-                f"got {header.get('format')!r}"
-            )
-        if header.get("version") != JSONL_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported replay version {header.get('version')!r} "
-                f"(supported: {JSONL_VERSION})"
-            )
-        return header
+        return read_jsonl_header(self.path)
 
     @property
     def length(self) -> Optional[int]:
@@ -402,21 +386,11 @@ class ReplaySource:
             yield from PairSource(load_pair(self.path, key_type=self.key_type))
             return
         key_type = self.key_type
-        with self.path.open() as handle:
-            handle.readline()  # header, validated at construction
-            for expected_tick, line in enumerate(handle):
-                if not line.strip():
-                    continue
-                event = json.loads(line)
-                if event.get("t") != expected_tick:
-                    raise ValueError(
-                        f"{self.path}: tick column must be contiguous from 0, "
-                        f"got {event.get('t')} at position {expected_tick}"
-                    )
-                yield (
-                    tuple(key_type(k) for k in event.get("r", ())),
-                    tuple(key_type(k) for k in event.get("s", ())),
-                )
+        for r_batch, s_batch in iter_jsonl_ticks(self.path, self._header):
+            yield (
+                tuple(key_type(k) for k in r_batch),
+                tuple(key_type(k) for k in s_batch),
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReplaySource({str(self.path)!r})"

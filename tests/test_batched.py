@@ -80,15 +80,6 @@ class TestEncoder:
         assert chunk.r_list() == ["a", "b", "a"]
         assert chunk.s_list() == ["b", "b", "c"]
 
-    def test_numpy_and_fallback_lanes_agree(self, monkeypatch):
-        import repro.streams.batches as batches
-
-        pair = zipf_pair(50, 5, 1.0, seed=2)
-        with_numpy = [c.r_list() for c in encode_chunks(pair, 16)]
-        monkeypatch.setattr(batches, "HAVE_NUMPY", False)
-        without = [c.r_list() for c in encode_chunks(pair, 16)]
-        assert with_numpy == without
-
 
 # ----------------------------------------------------------------------
 # count lanes

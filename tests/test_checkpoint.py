@@ -1,6 +1,8 @@
 """Checkpoint/restore: store semantics and bit-identical resumption."""
 
+import hashlib
 import pickle
+import random
 
 import pytest
 
@@ -40,8 +42,28 @@ class TestCheckpointStore:
 
     def test_corrupt_file_is_none(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.path_for("shard-0").write_bytes(b"not a pickle")
-        assert store.load("shard-0", fingerprint="fp") is None
+        engine = AsyncJoinEngine(_config("PROB"), policy=_policies("PROB"))
+        saved = {}
+
+        def on_tick(engine, t):
+            if t == 57:
+                saved["state"] = engine.checkpoint()
+
+        engine.run(*UNIT_BATCHES, on_tick=on_tick)
+        path = store.save("shard-0", saved["state"], fingerprint="fp")
+        good = path.read_bytes()
+        body = good[hashlib.sha256().digest_size:]
+        rng = random.Random(2024)
+        corrupt = [b"", b"not a pickle", body]  # body: a file without a digest
+        for _ in range(40):
+            corrupt.append(good[: rng.randrange(len(good))])
+            flipped = bytearray(good)
+            at = rng.randrange(len(good))
+            flipped[at] ^= 1 << rng.randrange(8)
+            corrupt.append(bytes(flipped))
+        for data in corrupt:
+            path.write_bytes(data)
+            assert store.load("shard-0", fingerprint="fp") is None
 
     def test_schema_mismatch_is_none(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -50,7 +72,8 @@ class TestCheckpointStore:
             "fingerprint": "fp",
             "state": {"tick": 1},
         }
-        store.path_for("shard-0").write_bytes(pickle.dumps(payload))
+        body = pickle.dumps(payload)
+        store.path_for("shard-0").write_bytes(hashlib.sha256(body).digest() + body)
         assert store.load("shard-0", fingerprint="fp") is None
 
     def test_save_overwrites_atomically(self, tmp_path):

@@ -17,7 +17,8 @@ from tests.reference_engine import naive_run
 
 def path_outputs(name, pair, window, memory, estimators=None):
     """Output of every loop a pair can reach: the fast loop, the kernel
-    loop (``materialize`` forces it), and the incremental source path."""
+    loop (``materialize`` forces it), the incremental source path, and
+    the columnar lanes over the pair and over the re-chunked source."""
     fast = run_algorithm(name, pair, window, memory, estimators=estimators)
     kernel = run_algorithm(
         name, pair, window, memory, estimators=estimators, materialize=True
@@ -26,11 +27,20 @@ def path_outputs(name, pair, window, memory, estimators=None):
         name, pair, window, memory, estimators=estimators,
         source=PairSource(pair), until=len(pair),
     )
+    batch = run_algorithm(
+        name, pair, window, memory, estimators=estimators, batch_size=7
+    )
+    batch_source = run_algorithm(
+        name, pair, window, memory, estimators=estimators,
+        source=PairSource(pair), until=len(pair), batch_size=7,
+    )
     assert len(kernel.pairs) == kernel.output_count
     return {
         "fast": fast.output_count,
         "kernel": kernel.output_count,
         "source": source.output_count,
+        "batch": batch.output_count,
+        "batch_source": batch_source.output_count,
     }
 
 

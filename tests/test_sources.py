@@ -264,6 +264,22 @@ class TestReplayJsonl:
         with pytest.raises(ValueError, match="contiguous"):
             events_of(ReplaySource(path))
 
+    def test_rejects_truncated_recording(self, tmp_path):
+        from repro.api import RunSpec, run
+
+        path = tmp_path / "cut.jsonl"
+        save_pair_jsonl(zipf_pair(50, 5, 1.0, seed=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-10]))
+        source = ReplaySource(path)
+        assert source.length == 50
+        with pytest.raises(ValueError, match="declares length 50 but file has 40"):
+            events_of(source)
+        with pytest.raises(ValueError, match="declares length 50"):
+            load_pair_jsonl(path)
+        with pytest.raises(ValueError, match="declares length 50"):
+            run(RunSpec(algorithm="EXACT", window=5, source=source))
+
     def test_csv_recordings_replay_too(self, tmp_path):
         pair = zipf_pair(25, 6, 1.0, seed=4)
         path = tmp_path / "rec.csv"
