@@ -23,34 +23,21 @@ reference point; ``make bench-gate`` rebuilds the snapshot and fails on
 identity drift, deterministic-count drift, or a speedup below the
 floor.
 
-Run:  python benchmarks/bench_batch.py [--scale ci] [--repeats 7]
-                                       [--out BENCH_batch.json]
-Or:   make bench-batch
+Run:  python benchmarks/regression.py [--write] batch
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from snapshot import _interleaved_best  # sibling module
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from snapshot import _interleaved_best  # noqa: E402 - sibling module
-
-from repro.api import RunSpec, build_pair, run  # noqa: E402
-from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory  # noqa: E402
-from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY  # noqa: E402
+from repro.api import RunSpec, build_pair, run
+from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
+from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY
 
 SEED = 0
-#: Batched EXACT must beat per-tuple EXACT by at least this factor.
-MIN_SPEEDUP = 1.5
 #: Chunk sizes the identity sweep crosses (plus the whole stream).
 IDENTITY_BATCH_SIZES = (1, 7, 64, DEFAULT_BATCH_SIZE)
 #: Shedding policies whose runs ``batch_size`` must not change: the
@@ -176,7 +163,6 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             "memory": memory,
             "repeats": repeats,
             "batch_size": DEFAULT_BATCH_SIZE,
-            "min_speedup": MIN_SPEEDUP,
         },
         "python": sys.version.split()[0],
         "numpy": HAVE_NUMPY,
@@ -192,36 +178,3 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             "exact_total_output": baseline.total_output_count,
         },
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_batch.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_batch_snapshot(args.scale, args.repeats, args.seed)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    print(f"batched EXACT @ scale={args.scale} "
-          f"(n={snapshot['workload']['length']}, "
-          f"w={snapshot['parameters']['window']}, "
-          f"batch={snapshot['parameters']['batch_size']})")
-    print(f"  per-tuple {snapshot['serial_ktuples_per_second']:>8.2f} k-tuples/s")
-    print(f"  batched   {snapshot['batched_ktuples_per_second']:>8.2f} k-tuples/s "
-          f"({snapshot['speedup']:.2f}x)")
-    print(f"  batched_identical={snapshot['batched_identical']}")
-    for line in snapshot["mismatches"]:
-        print(f"  MISMATCH: {line}")
-    print(f"written to {path}")
-    return 0 if snapshot["batched_identical"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

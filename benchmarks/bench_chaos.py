@@ -21,26 +21,15 @@ Wall-clocks are recorded but advisory; the gate in
 ``benchmarks/regression.py`` trips only on identity or reconciliation
 drift.
 
-Run:  python benchmarks/bench_chaos.py [--scale ci] [--shards 3]
-                                       [--workers 2] [--out BENCH_chaos.json]
-Or:   make bench-chaos
+Run:  python benchmarks/regression.py [--write] chaos
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from dataclasses import replace
 
@@ -171,42 +160,3 @@ def build_chaos_snapshot(scale_name: str, shards: int, workers: int) -> dict:
             "lost_output": degraded.lost_output,
         },
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--shards", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_chaos.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_chaos_snapshot(args.scale, args.shards, args.workers)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    params = snapshot["parameters"]
-    print(f"chaos recovery @ scale={args.scale} "
-          f"(shards={args.shards}, workers={args.workers}, "
-          f"kill cell {params['killed_cell']} at tick {params['killed_tick']})")
-    for key, value in snapshot["seconds"].items():
-        print(f"  {key:<14} {value:>8.3f}s")
-    if snapshot["recovery_identical"]:
-        print("  identity: recovered runs == fault-free runs; "
-              "degraded run reconciles "
-              f"({snapshot['counts']['degraded_output']} + "
-              f"{snapshot['counts']['lost_output']} = "
-              f"{snapshot['counts']['exact_output']})")
-    else:
-        print(f"  RECOVERY VIOLATION ({len(snapshot['mismatches'])} issue(s)):")
-        for line in snapshot["mismatches"]:
-            print(f"    - {line}")
-    print(f"written to {path}")
-    return 0 if snapshot["recovery_identical"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,36 +25,23 @@ reference point; ``make bench-gate`` rebuilds the snapshot and fails on
 identity drift, deterministic-count drift, or a speedup below the
 floor.
 
-Run:  python benchmarks/bench_policy_batch.py [--scale ci] [--repeats 7]
-                                              [--out BENCH_policy.json]
-Or:   make bench-policy
+Run:  python benchmarks/regression.py [--write] policy
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from bench_batch import _check_identity  # sibling module
+from snapshot import _interleaved_best  # sibling module
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from bench_batch import _check_identity  # noqa: E402 - sibling module
-from snapshot import _interleaved_best  # noqa: E402 - sibling module
-
-from repro.api import RunSpec, build_pair, run  # noqa: E402
-from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory  # noqa: E402
-from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY  # noqa: E402
+from repro.api import RunSpec, build_pair, run
+from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
+from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY
 
 SEED = 0
-#: Batched PROB/LIFE must beat their per-tuple twins by this factor.
-MIN_POLICY_SPEEDUP = 2.0
-#: Policies the floor is enforced for (RAND is advisory).
+#: Policies the regression gate's speedup floor holds (RAND is advisory).
 ENFORCED_POLICIES = ("PROB", "LIFE")
 #: Policies timed head-to-head.
 TIMED_POLICIES = ("RAND", "PROB", "LIFE")
@@ -81,7 +68,6 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
     mismatches: list[str] = []
     counts: dict = {}
     policies = []
-    floor_failures: list[str] = []
 
     # -- throughput: per-tuple vs batched, interleaved per policy ------
     for name in TIMED_POLICIES:
@@ -95,12 +81,6 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
         })
         serial_seconds, batched_seconds = best["serial"], best["batched"]
         speedup = serial_seconds / batched_seconds
-        enforced = name in ENFORCED_POLICIES
-        if enforced and speedup < MIN_POLICY_SPEEDUP:
-            floor_failures.append(
-                f"{name}: batched speedup {speedup:.2f}x is below the "
-                f"{MIN_POLICY_SPEEDUP:.1f}x floor"
-            )
         baseline = results["serial"]
         _check_identity(
             mismatches, f"{name} batch={DEFAULT_BATCH_SIZE}",
@@ -115,7 +95,7 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             "serial_seconds": round(serial_seconds, 4),
             "batched_seconds": round(batched_seconds, 4),
             "speedup": round(speedup, 2),
-            "floor_enforced": enforced,
+            "floor_enforced": name in ENFORCED_POLICIES,
         })
 
     # -- identity sweep: all lanes x chunk sizes, metrics + survival ---
@@ -155,53 +135,11 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             "memory": memory,
             "repeats": repeats,
             "batch_size": DEFAULT_BATCH_SIZE,
-            "min_policy_speedup": MIN_POLICY_SPEEDUP,
         },
         "python": sys.version.split()[0],
         "numpy": HAVE_NUMPY,
         "policies": policies,
         "batched_identical": not mismatches,
         "mismatches": mismatches,
-        "floor_failures": floor_failures,
         "counts": counts,
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_policy.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_policy_snapshot(args.scale, args.repeats, args.seed)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    print(f"batched policy lanes @ scale={args.scale} "
-          f"(n={snapshot['workload']['length']}, "
-          f"w={snapshot['parameters']['window']}, "
-          f"batch={snapshot['parameters']['batch_size']})")
-    for entry in snapshot["policies"]:
-        floor = (f">= {snapshot['parameters']['min_policy_speedup']:.1f}x floor"
-                 if entry["floor_enforced"] else "advisory")
-        print(f"  {entry['policy']:<5} per-tuple "
-              f"{entry['serial_ktuples_per_second']:>8.2f} k-tuples/s  "
-              f"batched {entry['batched_ktuples_per_second']:>8.2f} k-tuples/s  "
-              f"({entry['speedup']:.2f}x, {floor})")
-    print(f"  batched_identical={snapshot['batched_identical']}")
-    for line in snapshot["mismatches"]:
-        print(f"  MISMATCH: {line}")
-    for line in snapshot["floor_failures"]:
-        print(f"  FLOOR: {line}")
-    print(f"written to {path}")
-    ok = snapshot["batched_identical"] and not snapshot["floor_failures"]
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -12,28 +12,17 @@ the speedup is advisory.  Worker processes pay a real fork + pickle tax,
 so on small grids or few-core machines ``workers=2`` can legitimately be
 *slower* than serial — the gate in ``benchmarks/regression.py`` only
 trips when the parallel path is pathologically slow (more than
-``--max-slowdown`` times the serial wall-clock) or when outputs drift.
+5x the serial wall-clock) or when outputs drift.
 
-Run:  python benchmarks/bench_runtime.py [--scale ci] [--workers 2]
-                                         [--out BENCH_runtime.json]
-Or:   make bench-parallel
+Run:  python benchmarks/regression.py [--write] runtime
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
 from repro.experiments.sweep import _suite_counts
@@ -100,38 +89,3 @@ def build_runtime_snapshot(scale_name: str, workers: int) -> dict:
             {"seed": seed, **per_seed} for seed, per_seed in zip(SEEDS, serial)
         ],
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_runtime.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_runtime_snapshot(args.scale, args.workers)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    grid = len(ALGORITHMS) * len(SEEDS)
-    print(f"runtime parallel @ scale={args.scale} "
-          f"({grid} cells: {len(ALGORITHMS)} algorithms x {len(SEEDS)} seeds, "
-          f"workers={args.workers}, cpus={os.cpu_count()})")
-    print(f"  serial   {snapshot['serial_seconds']:>8.3f}s")
-    print(f"  parallel {snapshot['parallel_seconds']:>8.3f}s  "
-          f"(speedup {snapshot['speedup']:.2f}x)")
-    if snapshot["outputs_match"]:
-        print("  outputs: parallel == serial on every cell")
-    else:
-        print(f"  OUTPUT MISMATCH ({len(snapshot['mismatches'])} cell(s)):")
-        for line in snapshot["mismatches"]:
-            print(f"    - {line}")
-    print(f"written to {path}")
-    return 0 if snapshot["outputs_match"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

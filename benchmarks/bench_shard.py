@@ -1,8 +1,8 @@
 """Write BENCH_shard.json: sharded-execution wall-clock + identity check.
 
 Runs the same EXACT workload three ways — unsharded on the fast-CPU
-engine, sharded (``--shards N``) serially, and sharded fanned over
-``--workers`` processes — and records all three wall-clocks plus the
+engine, sharded (``shards`` cells) serially, and sharded fanned over
+``workers`` processes — and records all three wall-clocks plus the
 part that gates: whether the sharded runs reproduced the unsharded
 result **exactly** (output count, total output, and the per-side drop
 ledger — the partition layer's EXACT guarantee is identity, not
@@ -14,28 +14,17 @@ Speedup is advisory: per-shard runs pay the async engine's per-tick
 batch overhead plus fork/pickle tax, so small workloads or few-core
 machines can legitimately be slower sharded.  The gate in
 ``benchmarks/regression.py`` trips only on identity/determinism drift
-or a pathological (> ``--max-slowdown``x) sharded slowdown.
+or a pathological (more than 25x unsharded) sharded slowdown.
 
-Run:  python benchmarks/bench_shard.py [--scale ci] [--shards 4]
-                                       [--workers 2] [--out BENCH_shard.json]
-Or:   make bench-shard
+Run:  python benchmarks/regression.py [--write] shard
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import RunSpec, build_pair, run_join
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
@@ -143,40 +132,3 @@ def build_shard_snapshot(scale_name: str, shards: int, workers: int) -> dict:
             "prob_sharded_output": prob_serial.output_count,
         },
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_shard.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_shard_snapshot(args.scale, args.shards, args.workers)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    print(f"shard execution @ scale={args.scale} "
-          f"(shards={args.shards}, workers={args.workers}, "
-          f"cpus={os.cpu_count()})")
-    print(f"  unsharded {snapshot['unsharded_seconds']:>8.3f}s")
-    print(f"  sharded   {snapshot['serial_seconds']:>8.3f}s serial, "
-          f"{snapshot['parallel_seconds']:.3f}s parallel "
-          f"({snapshot['speedup_vs_unsharded']:.2f}x vs unsharded)")
-    if snapshot["exact_identical"]:
-        print("  identity: sharded EXACT == unsharded EXACT "
-              "(output, total, drop ledger)")
-    else:
-        print(f"  IDENTITY VIOLATION ({len(snapshot['mismatches'])} issue(s)):")
-        for line in snapshot["mismatches"]:
-            print(f"    - {line}")
-    print(f"written to {path}")
-    return 0 if snapshot["exact_identical"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,18 +7,17 @@ generator source through the two incremental lanes and asserts, with
 ``tracemalloc`` telling the truth, that live memory is **flat**:
 
 * the streaming EXACT lane (``repro.core.batched.exact_stream_counts``
-  — two count dicts plus two expiry deques) over ``--ticks`` ticks
-  (default 2,000,000);
+  — two count dicts plus two expiry deques) over ``ticks`` ticks
+  (2,000,000 in the committed baseline);
 * the full policy engine path (``JoinEngine.run_stream`` running PROB
-  with a live EWMA estimator) over ``--policy-ticks`` ticks (default
-  200,000) — the per-tuple kernel, policy heap, and online statistics
+  with a live EWMA estimator) over ``policy_ticks`` ticks
+  (200,000) — the per-tuple kernel, policy heap, and online statistics
   must all hold window/domain-bounded state too.
 
 Live memory is sampled at evenly spaced checkpoints; the first
 checkpoint is warmup (dicts and deques reach their steady-state
 footprint inside one window), and every later sample must stay within
-``--slack-pct`` (default 5%) plus ``--slack-kib`` (default 64 KiB) of
-it.  A leak that scales with ticks — a forgotten per-arrival list, a
+``slack_pct`` (5%) plus ``slack_kib`` (64 KiB) of it.  A leak that scales with ticks — a forgotten per-arrival list, a
 materialized output, an unbounded queue — blows through that band
 within one checkpoint interval.
 
@@ -26,25 +25,17 @@ Output counts are recorded too: the soak is deterministic, so the
 regression gate (``benchmarks/regression.py``) re-runs it and fails on
 *any* drift, memory or semantics.
 
-Run:  python benchmarks/bench_soak.py [--ticks 2000000] [--out BENCH_soak.json]
+The gate reads ``ticks``, ``policy_ticks`` and the slack band from
+the committed baseline's ``parameters``.
+
+Run:  python benchmarks/regression.py [--write] soak
 Or:   make soak
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 import tracemalloc
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import RunSpec, run
 from repro.core.batched import exact_stream_counts
@@ -142,8 +133,9 @@ def soak_policy_path(ticks: int, *, slack_pct: float, slack_kib: float) -> dict:
 
 
 def build_soak_snapshot(ticks: int, policy_ticks: int, *,
-                        slack_pct: float = 5.0,
-                        slack_kib: float = 64.0) -> dict:
+                        slack_pct: float, slack_kib: float) -> dict:
+    if ticks < 3 * CHECKPOINTS:
+        raise ValueError(f"soak ticks must be at least {3 * CHECKPOINTS}")
     exact = soak_exact_lane(ticks, slack_pct=slack_pct, slack_kib=slack_kib)
     policy = soak_policy_path(policy_ticks, slack_pct=slack_pct,
                               slack_kib=slack_kib)
@@ -175,54 +167,3 @@ def build_soak_snapshot(ticks: int, policy_ticks: int, *,
         "flat_memory": not mismatches,
         "mismatches": mismatches,
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--ticks", type=int, default=2_000_000,
-                        help="EXACT-lane soak length (default 2,000,000)")
-    parser.add_argument("--policy-ticks", type=int, default=200_000,
-                        dest="policy_ticks",
-                        help="policy-path soak length (default 200,000)")
-    parser.add_argument("--slack-pct", type=float, default=5.0,
-                        dest="slack_pct",
-                        help="allowed post-warmup memory growth in percent")
-    parser.add_argument("--slack-kib", type=float, default=64.0,
-                        dest="slack_kib",
-                        help="allowed absolute growth in KiB")
-    parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_soak.json"))
-    args = parser.parse_args()
-
-    if args.ticks < 3 * CHECKPOINTS:
-        print(f"--ticks must be at least {3 * CHECKPOINTS}", file=sys.stderr)
-        return 2
-
-    print(f"soak: EXACT lane, {args.ticks:,} ticks from an unbounded "
-          f"zipf source (tracemalloc on) ...")
-    snapshot = build_soak_snapshot(
-        args.ticks, args.policy_ticks,
-        slack_pct=args.slack_pct, slack_kib=args.slack_kib,
-    )
-    exact, policy = snapshot["exact"], snapshot["policy"]
-    print(f"  exact : {exact['ticks']:,} ticks in {exact['seconds']:.1f}s "
-          f"({exact['ktuples_per_second']:.0f}k ticks/s), "
-          f"memory {exact['memory_kib'][0]:.1f} -> "
-          f"{exact['memory_kib'][-1]:.1f} KiB, flat={exact['flat']}")
-    print(f"  policy: {policy['ticks']:,} ticks in {policy['seconds']:.1f}s "
-          f"({policy['ktuples_per_second']:.0f}k ticks/s), "
-          f"memory {policy['memory_kib'][0]:.1f} -> "
-          f"{policy['memory_kib'][-1]:.1f} KiB, flat={policy['flat']}")
-
-    Path(args.out).write_text(json.dumps(snapshot, indent=2) + "\n")
-    print(f"wrote {args.out}")
-
-    if not snapshot["flat_memory"]:
-        for line in snapshot["mismatches"]:
-            print(f"  FAIL {line}", file=sys.stderr)
-        return 1
-    print("soak OK: live memory flat on both lanes")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,47 +16,38 @@ stay within a small budget.  This benchmark measures both:
   serially (workers=1) with interleaved rounds and min-over-rounds on
   each side, so pool startup, scheduler noise, and co-tenant load stay
   out of the ratio (the only telemetry cost CPU time misses is the
-  fsync wait, microseconds per heartbeat batch).  The default budget
-  is 5%; a pass over budget re-times up to two fresh passes (each with
+  fsync wait, microseconds per heartbeat batch).  The budget (``limit_pct``,
+  5% in the committed baseline) is read from the baseline; a pass over budget re-times up to two fresh passes (each with
   its own minima, so one lucky off-round cannot poison the ratio for
   good) and the best pass is reported.
 
 A pooled, fault-injected leg (kill + retry + checkpoint restore at
-``--shards`` / ``--workers``) also runs to exercise the full plane and
+``shards`` / ``workers``) also runs to exercise the full plane and
 writes its merged timeline to ``benchmarks/results/timeline.json`` as
 Chrome trace-event JSON — the artifact CI uploads.  Its wall-clock is
 advisory; the timeline must contain the killed attempt, the retry, and
 the checkpoint-restore span.
 
-Run:  python benchmarks/bench_telemetry.py [--scale ci] [--shards 4]
-          [--workers 2] [--rounds 5] [--limit 5.0] [--out BENCH_obs.json]
-Or:   make bench-obs
+Run:  python benchmarks/regression.py [--write] obs
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-
 from dataclasses import replace
+from pathlib import Path
 
 from repro.api import RunSpec, build_pair, run
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
 from repro.obs import span_summary, to_chrome_trace
 from repro.runtime import Fault, FaultPlan
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 #: Overhead-leg heartbeat cadence.  At ci scale a tick is ~10 us of
 #: engine work and a heartbeat ~30 us of emit work, so the cadence —
@@ -67,7 +58,6 @@ HEARTBEAT_EVERY = 2048
 #: The faulted demo leg beats densely so the timeline artifact is rich.
 DEMO_HEARTBEAT_EVERY = 16
 CHECKPOINT_EVERY = 32
-DEFAULT_LIMIT_PCT = 5.0
 #: Re-time this many extra passes before declaring the budget blown.
 MAX_TIMING_PASSES = 3
 
@@ -246,60 +236,3 @@ def build_obs_snapshot(
         "timeline_artifact": str(timeline_out.relative_to(REPO_ROOT))
         if timeline_out.is_relative_to(REPO_ROOT) else str(timeline_out),
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--rounds", type=int, default=5,
-        help="interleaved off/on timing rounds (min is kept)",
-    )
-    parser.add_argument(
-        "--limit", type=float, default=DEFAULT_LIMIT_PCT,
-        help="max telemetry overhead in percent (default 5.0)",
-    )
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_obs.json"),
-        help="where to write the snapshot",
-    )
-    parser.add_argument(
-        "--timeline-out",
-        default=str(REPO_ROOT / "benchmarks" / "results" / "timeline.json"),
-        dest="timeline_out",
-        help="where to write the faulted run's Chrome trace JSON",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_obs_snapshot(
-        args.scale, args.shards, args.workers, args.rounds, args.limit,
-        Path(args.timeline_out),
-    )
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    seconds = snapshot["cpu_seconds"]
-    print(f"telemetry overhead @ scale={args.scale} "
-          f"(shards={args.shards}, rounds={args.rounds})")
-    print(f"  off  {seconds['off_min']:>8.4f}s cpu (min over rounds)")
-    print(f"  on   {seconds['on_min']:>8.4f}s cpu "
-          f"({snapshot['overhead_pct']:+.2f}%, budget {args.limit:.1f}%)")
-    print(f"  heartbeats {snapshot['counts']['heartbeats']}, "
-          f"span events {snapshot['counts']['span_events']}, "
-          f"faulted retries {snapshot['counts']['faulted_retries']}")
-    if snapshot["telemetry_identical"]:
-        print("  identity: telemetry-on == telemetry-off; faulted run "
-              "recovers bit-identically with fault/retry/restore spans")
-    else:
-        print(f"  TELEMETRY VIOLATION ({len(snapshot['mismatches'])} issue(s)):")
-        for line in snapshot["mismatches"]:
-            print(f"    - {line}")
-    print(f"timeline artifact: {snapshot['timeline_artifact']}")
-    print(f"written to {path}")
-    return 0 if snapshot["telemetry_identical"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,28 +24,18 @@ sources take) reproduces the fast path bit-for-bit on the same
 workload — output, total, and drop ledger.
 
 The committed ``BENCH_engine.json`` at the repository root is the
-reference point: regenerate it with ``make bench-smoke`` and diff the
-throughput/overhead numbers when touching the engine hot path;
-``make bench-gate`` (see ``benchmarks/regression.py``) does the diff
-automatically with tolerance bands.
+reference point: ``make bench-gate`` (see ``benchmarks/regression.py``)
+rebuilds the snapshot and diffs the throughput/overhead numbers against
+it with tolerance bands; ``--write engine`` regenerates it.
 
-Run:  python benchmarks/snapshot.py [--scale ci] [--out BENCH_engine.json]
+Run:  python benchmarks/regression.py [--write] engine
+Or:   make bench-gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-try:
-    import repro  # noqa: F401
-except ImportError:  # running from a checkout without `make install`
-    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import estimators_for, run_algorithm
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
@@ -191,37 +181,3 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
         "python": sys.version.split()[0],
         "policies": policies,
     }
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", default="ci", choices=sorted(SCALES))
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_engine.json"),
-        help="where to write the snapshot",
-    )
-    args = parser.parse_args()
-
-    snapshot = build_snapshot(args.scale, args.repeats, args.seed)
-    path = Path(args.out)
-    path.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    width = max(len(p["policy"]) for p in snapshot["policies"])
-    print(f"engine throughput @ scale={args.scale} "
-          f"(n={snapshot['workload']['length']}, "
-          f"w={snapshot['parameters']['window']}, "
-          f"M={snapshot['parameters']['memory']})")
-    for entry in snapshot["policies"]:
-        print(f"  {entry['policy']:<{width}}  "
-              f"{entry['ktuples_per_second']:>8.2f} k-tuples/s  "
-              f"output={entry['output_count']:<8} "
-              f"metrics overhead {entry['metrics_overhead_pct']:+.1f}%  "
-              f"trace overhead {entry['trace_overhead_pct']:+.1f}%")
-    print(f"written to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,15 +24,15 @@ arithmetic:
 The lanes here are *gated*, not general: callers must verify the
 configuration cannot overflow (``capacity >= 2 * window`` for the
 synchronous engine) or must pass capacity bounds for the lane to check
-(the asynchronous lane, where bursts can overflow).  A regression gate
-(``benchmarks/bench_batch.py``) pins the lane output bit-identical to
-the per-tuple engines.
+(the asynchronous lane, where bursts can overflow).  The ``batch`` gate
+of ``benchmarks/regression.py`` (``make bench-gate``) pins the lane
+output bit-identical to the per-tuple engines.
 
 The shedding policies have chunk lanes too: :mod:`.batched_policies`
 (re-exported here) carries ``rand_chunk_run`` / ``prob_chunk_run`` /
 ``life_chunk_run``, which keep the same per-key count arithmetic for
 probes and add flat, allocation-free replicas of the eviction contests.
-Their regression gate is ``benchmarks/bench_policy_batch.py``.
+Their regression gate is the ``policy`` gate of the same script.
 """
 
 from __future__ import annotations

@@ -59,12 +59,12 @@ entry, so the unsupervised paths pay nothing.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..stats.quantiles import GKQuantileSummary
+from ._jsonl import iter_jsonl, save_jsonl
 
 __all__ = [
     "SPAN_KINDS",
@@ -282,13 +282,7 @@ def merge_timeline(*event_groups: Iterable[SpanEvent]) -> list[SpanEvent]:
 
 def save_spans(events: Iterable[SpanEvent], path) -> Path:
     """Write span events as JSONL; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for event in events:
-            handle.write(json.dumps(event.to_json(), default=str))
-            handle.write("\n")
-    return path
+    return save_jsonl(events, path)
 
 
 def iter_spans(path, *, strict: bool = True) -> Iterator[SpanEvent]:
@@ -298,20 +292,7 @@ def iter_spans(path, *, strict: bool = True) -> Iterator[SpanEvent]:
     spool reader uses it because a killed worker can leave a truncated
     final line behind (everything before it was fsynced and is intact).
     """
-    with Path(path).open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{line_number}: not a JSONL span line ({error})"
-                    ) from error
-                continue
-            yield SpanEvent.from_json(record)
+    return iter_jsonl(path, SpanEvent.from_json, "span", strict=strict)
 
 
 def load_spans(path, *, strict: bool = True) -> list[SpanEvent]:

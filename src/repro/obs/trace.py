@@ -66,6 +66,8 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from ._jsonl import iter_jsonl, save_jsonl
+
 __all__ = [
     "EVENT_KINDS",
     "EVENT_ARRIVE",
@@ -405,29 +407,12 @@ def tracing_or_none(trace) -> Optional[Tracer]:
 
 def save_trace(events: Iterable[TraceEvent], path) -> Path:
     """Write events as JSONL; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for event in events:
-            handle.write(json.dumps(event.to_json(), default=str))
-            handle.write("\n")
-    return path
+    return save_jsonl(events, path)
 
 
 def iter_trace(path) -> Iterator[TraceEvent]:
     """Stream events back from a JSONL trace file."""
-    with Path(path).open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: not a JSONL trace line ({error})"
-                ) from error
-            yield TraceEvent.from_json(record)
+    return iter_jsonl(path, TraceEvent.from_json, "trace")
 
 
 def load_trace(path) -> list[TraceEvent]:
