@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= default
 
-.PHONY: install test bench bench-gate soak check figures clean
+.PHONY: install test bench bench-gate soak check ab figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -34,6 +34,29 @@ soak:
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/harness -q
+
+# A/B the end-to-end benchmark: BASE (any commit) against the working
+# tree, on one workload.  BASE is checked out into a temporary git
+# worktree; both reports land in benchmarks/results/ and the exit status
+# is compare.py's (1 if a metric is worse than its bound).  This is a
+# smoke check: one pair, BASE always run first.  A claimed gain or a
+# "no regression" claim still needs ten alternating pairs of
+# benchmarks/harness/run.py, compared with compare.py directly.
+#   make ab BASE=HEAD WORKLOAD=stream_drift
+BASE ?= HEAD
+WORKLOAD ?= stream_drift
+AB_OUT := benchmarks/results/ab-$(WORKLOAD)
+
+ab:
+	@mkdir -p benchmarks/results; \
+	tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"; git worktree prune' EXIT; \
+	git worktree add --detach --quiet "$$tmp/base" "$(BASE)" || exit 2; \
+	(cd "$$tmp/base" && $(PYTHON) benchmarks/harness/run.py \
+		--workload $(WORKLOAD) --out "$(CURDIR)/$(AB_OUT)-A.json") || exit $$?; \
+	$(PYTHON) benchmarks/harness/run.py \
+		--workload $(WORKLOAD) --out "$(AB_OUT)-B.json" || exit $$?; \
+	$(PYTHON) benchmarks/harness/compare.py "$(AB_OUT)-A.json" -- "$(AB_OUT)-B.json"
 
 # Regenerate every figure/table via the CLI at the chosen scale.
 figures:

@@ -333,6 +333,15 @@ class JoinEngine:
         tracking and the pair-only features (``materialize``,
         ``track_shares``, schedules) are unsupported here — they hold
         per-arrival state, which an unbounded stream forbids.
+
+        A unit-rate source reaches a columnar lane only when
+        ``config.batch_size`` is set and no ``emit``, ``on_summary``,
+        metrics, tracer or ``validate`` is active (``stop`` is fine);
+        the policy lanes also need frozen static tables, so live
+        estimators take the kernel loop.  That is why RAND, which needs
+        no estimator, still runs per tick under ``repro serve`` — it
+        always passes ``on_summary`` (and ``stop``) — and on a source
+        run without ``batch_size``.
         """
         source = as_source(source)
         if until is not None and until < 0:

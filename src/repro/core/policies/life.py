@@ -109,23 +109,24 @@ class LifePolicy(EvictionPolicy):
         the scan walks the alive-key counter dict — never a copy of it;
         ``oldest_alive`` mutates only the per-key buckets — resolving
         each key through the memory's per-key FIFO and scoring it with
-        at most one dict lookup.
+        one lookup bound before the scan: the static table's ``get``
+        (None for a key it does not hold, hence ``or 0.0``) or the live
+        estimator's ``probability``, as :meth:`partner_probability`.
         """
         best: Optional[TupleRecord] = None
         best_priority = 0.0
         offset = self._window - now
         probs = self._partner_probs
-        side_probs = probs[side.stream] if probs is not None else None
+        if probs is not None:
+            lookup = probs[side.stream].get
+        else:
+            lookup = self._estimators["S" if side.stream == "R" else "R"].probability
         oldest_alive = side.oldest_alive
         for key in side._key_counts:
             record = oldest_alive(key)
             if record is None:  # pragma: no cover - counted keys are alive
                 continue
-            if side_probs is not None:
-                p = side_probs.get(key, 0.0)
-            else:
-                p = self.partner_probability(side.stream, key)
-            priority = (record.arrival + offset) * p
+            priority = (record.arrival + offset) * (lookup(key) or 0.0)
             if (
                 best is None
                 or priority < best_priority

@@ -18,6 +18,7 @@ from repro.core.results import SCHEMA_VERSION
 from repro.experiments.runner import estimators_for
 from repro.obs import MetricsRegistry
 from repro.runtime import CheckpointStore
+from repro.stats import CountMinSketch
 from repro.streams import zipf_pair
 
 
@@ -212,6 +213,46 @@ class TestEngineResumeIdentity:
         resumed = AsyncJoinEngine(_config(name), policy=_policies(name)).run(
             *batches, resume=saved["state"]
         )
+        assert _fingerprint(resumed) == _fingerprint(baseline)
+
+    @pytest.mark.parametrize(
+        "encode", [int, lambda key: f"k{key}"], ids=["int", "str"]
+    )
+    @pytest.mark.parametrize("checkpoint_tick", [57, 211])
+    def test_resume_life_countmin_through_a_store(
+        self, tmp_path, encode, checkpoint_tick
+    ):
+        """Live Count-Min state survives a pickled checkpoint: the sketch
+        leaves its caches out of the file and refills them after the
+        restore, and ``str`` keys hash to the same counters again."""
+        batches = tuple([[encode(key)] for key in side] for side in (PAIR.r, PAIR.s))
+
+        def policies():
+            def sketches():
+                return {
+                    side: CountMinSketch(16, 3, seed=1, conservative=True)
+                    for side in "RS"
+                }
+
+            return SidePolicies(
+                r=LifePolicy(sketches(), WINDOW, update_estimators=True),
+                s=LifePolicy(sketches(), WINDOW, update_estimators=True),
+            )
+
+        baseline = AsyncJoinEngine(_config("LIFE"), policy=policies()).run(*batches)
+        store = CheckpointStore(tmp_path)
+
+        def on_tick(engine, t):
+            if t == checkpoint_tick:
+                store.save("life", engine.checkpoint(), fingerprint="fp")
+
+        AsyncJoinEngine(_config("LIFE"), policy=policies()).run(
+            *batches, on_tick=on_tick
+        )
+        resumed = AsyncJoinEngine(_config("LIFE"), policy=policies()).run(
+            *batches, resume=store.load("life", fingerprint="fp")
+        )
+        assert resumed.drop_breakdown().evicted > 0
         assert _fingerprint(resumed) == _fingerprint(baseline)
 
     def test_resume_restores_metrics_totals(self):
