@@ -407,8 +407,7 @@ def _source_estimators(source) -> dict:
 def _policy_for(spec: RunSpec, pair: Optional[StreamPair], estimators: Optional[dict]):
     if spec.algorithm == "EXACT":
         return None
-    update = spec.estimator != "oracle"
-    if update:
+    if spec.estimator != "oracle":
         estimators = _online_estimators(spec)
     elif estimators is None and spec.algorithm in _ESTIMATOR_ALGORITHMS:
         estimators = (
@@ -421,7 +420,6 @@ def _policy_for(spec: RunSpec, pair: Optional[StreamPair], estimators: Optional[
         estimators=estimators,
         window=spec.window,
         seed=spec.seed,
-        update_estimators=update,
     )
 
 

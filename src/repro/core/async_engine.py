@@ -30,6 +30,7 @@ Output is counted per processing tick against the usual warmup.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence, Union
@@ -598,17 +599,24 @@ class AsyncJoinEngine:
             "arrivals": arrivals,
             "sequence": dict(sequence),
             "kernel": self._kernel.snapshot(),
-            "policies": [p.snapshot_state() for p in self._policies],
+            # One deep copy over every policy's live state: a mapping
+            # two policies share is stored once and restored shared.
+            "policies": copy.deepcopy([p.snapshot_state() for p in self._policies]),
             "metrics": self._obs.snapshot() if self._obs is not None else None,
         }
 
     def _restore_policies(self, states, records) -> None:
-        """Hand each policy its snapshot plus the residents it governs."""
+        """Hand each policy its snapshot plus the residents it governs.
+
+        The states are deep-copied in one call (the checkpoint stays
+        reusable, and state the policies shared comes back shared).
+        """
         if len(states) != len(self._policies):
             raise ValueError(
                 f"checkpoint has {len(states)} policy states for "
                 f"{len(self._policies)} policies"
             )
+        states = copy.deepcopy(states)
         for policy, state in zip(self._policies, states):
             if policy is self._policy_r and policy is self._policy_s:
                 governed = records  # shared pool: both sides, merged order

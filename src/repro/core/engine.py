@@ -11,7 +11,8 @@ the memory-share trace of Figure 8.
 Timing within one tick ``t``
 ----------------------------
 1. tuples with ``arrival <= t - w`` expire;
-2. ``r(t)`` and ``s(t)`` arrive; every policy observes both arrivals;
+2. ``r(t)`` and ``s(t)`` arrive; the statistics module observes both
+   arrivals (each live estimator once);
 3. probes: ``r(t)`` matches resident S-tuples, ``s(t)`` matches resident
    R-tuples, and ``(r(t), s(t))`` is emitted if their keys agree (the
    flow graph's "top path" — a new tuple is *always* seen by the join);
@@ -265,7 +266,8 @@ class JoinEngine:
         self._policies = resolved.instances
         # Only policies that actually override observe_arrival (and have
         # not declared themselves uninterested via `observes_arrivals`)
-        # are called per tick — the no-op broadcast was pure overhead.
+        # are called per tick, and a fixed-allocation pair reading one
+        # estimator mapping is called once.
         self._observers = arrival_observers(resolved.instances)
         if resolved.name == "NONE":
             self.policy_name = "EXACT" if config.memory >= 2 * config.window else "NONE"

@@ -112,10 +112,7 @@ class JoinKernel:
         self.memory = memory
         self.policy_r = policy_r
         self.policy_s = policy_s
-        instances = tuple(
-            {id(p): p for p in (policy_r, policy_s) if p is not None}.values()
-        )
-        self.observers = arrival_observers(instances)
+        self.observers = arrival_observers((policy_r, policy_s))
         self.tracer = tracer
         self.tag = tag
         self.overflow_error = overflow_error

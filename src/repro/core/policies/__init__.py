@@ -24,7 +24,6 @@ normalisation point all engines share; the legacy ``{"R": ..., "S":
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,16 +71,14 @@ def _make_rand(*, seed: int = 0, **_ignored) -> EvictionPolicy:
     return RandomEvictionPolicy(seed=seed)
 
 
-def _make_prob(*, estimators=None, update_estimators=False, **_ignored) -> EvictionPolicy:
+def _make_prob(*, estimators=None, **_ignored) -> EvictionPolicy:
     _require("PROB", {"estimators": estimators}, "estimators")
-    return ProbPolicy(estimators, update_estimators=update_estimators)
+    return ProbPolicy(estimators)
 
 
-def _make_life(
-    *, estimators=None, window=None, update_estimators=False, **_ignored
-) -> EvictionPolicy:
+def _make_life(*, estimators=None, window=None, **_ignored) -> EvictionPolicy:
     _require("LIFE", {"estimators": estimators, "window": window}, "estimators", "window")
-    return LifePolicy(estimators, window, update_estimators=update_estimators)
+    return LifePolicy(estimators, window)
 
 
 def _make_arm(*, estimators=None, window=None, **_ignored) -> EvictionPolicy:
@@ -179,22 +176,18 @@ def make_policy_spec(
     Variable allocation gets a single instance governing the shared
     pool; fixed allocation gets a :class:`SidePolicies` pair whose R and
     S instances differ only in their random seed (matching the paper's
-    per-side independence).  A trailing ``V`` in ``name`` also selects
-    variable allocation ("PROBV" == ``variable=True``).
+    per-side independence).  Both instances read the one ``estimators``
+    mapping — the run's statistics module, fed once per arrival.  A
+    trailing ``V`` in ``name`` also selects variable allocation
+    ("PROBV" == ``variable=True``).
     """
     if name.upper().endswith("V") and _base_name(name) != name.upper():
         variable = True
     if variable:
         return make_policy(name, estimators=estimators, window=window, seed=seed, **kwargs)
-    # Every arrival is broadcast to *each* policy instance, so two
-    # fixed-allocation instances sharing online estimator objects would
-    # double-count; give the S side its own copies when updating.
-    s_estimators = estimators
-    if kwargs.get("update_estimators") and estimators is not None:
-        s_estimators = copy.deepcopy(estimators)
     return SidePolicies(
         r=make_policy(name, estimators=estimators, window=window, seed=seed, **kwargs),
-        s=make_policy(name, estimators=s_estimators, window=window, seed=seed + 1, **kwargs),
+        s=make_policy(name, estimators=estimators, window=window, seed=seed + 1, **kwargs),
     )
 
 

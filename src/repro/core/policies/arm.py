@@ -28,7 +28,6 @@ ArM experiment runs at, and easily replaced by a bucketed scan if needed.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from typing import Hashable, Mapping, Optional
 
@@ -139,12 +138,10 @@ class ArmAwarePolicy(EvictionPolicy):
         return weakest
 
     def snapshot_state(self):
-        # Trackers hold plain dicts of deques of ints — deepcopy keeps
-        # the snapshot independent of the live run.
-        return {"trackers": copy.deepcopy(self._trackers)}
+        return {"trackers": self._trackers}
 
     def restore_state(self, state, records) -> None:
-        self._trackers = copy.deepcopy(state["trackers"])
+        self._trackers = state["trackers"]
 
     def choose_victim(self, candidate: TupleRecord, now: int) -> Optional[TupleRecord]:
         weakest = self.weakest_resident(candidate.stream, now)

@@ -5,7 +5,9 @@ whether to reject the newcomer or which resident tuple to displace.  The
 engine drives the protocol:
 
 1. every arrival is announced via :meth:`EvictionPolicy.observe_arrival`
-   (statistics maintenance — both streams, regardless of side);
+   (statistics maintenance — both streams, regardless of side; policies
+   that read one shared estimator mapping are announced to once, see
+   :func:`arrival_observers`);
 2. if the newcomer's side has room it is admitted and
    :meth:`EvictionPolicy.on_admit` fires;
 3. otherwise :meth:`EvictionPolicy.choose_victim` returns a resident
@@ -21,8 +23,9 @@ and may return victims from either side.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
+from ...stats.frequency import FrequencyEstimator, StaticFrequencyTable
 from ..memory import JoinMemory, TupleRecord
 
 
@@ -36,8 +39,8 @@ class EvictionPolicy(ABC):
     #: Engines skip the per-arrival call for policies that leave this
     #: False (or don't override ``observe_arrival`` at all) — the hot
     #: path must not pay for a no-op notification.  Instances may
-    #: override the class value (PROB with frozen estimators sets it
-    #: False even though the class overrides ``observe_arrival``).
+    #: override the class value (PROB and LIFE over static tables set it
+    #: False even though their class overrides ``observe_arrival``).
     observes_arrivals: bool = True
 
     def __init__(self) -> None:
@@ -78,20 +81,26 @@ class EvictionPolicy(ABC):
     # checkpointing (optional overrides)
     # ------------------------------------------------------------------
     def snapshot_state(self):
-        """Serialisable private state for checkpoint/restore.
+        """Private state for checkpoint/restore, returned live.
 
-        Stateless policies (LIFE, FIFO — everything they need lives in
-        the memory structures) return ``None``.  Stateful policies must
-        return enough to make a restored run bit-identical to an
-        uninterrupted one: RAND captures its RNG state, PROB its online
-        estimators (the heap is rebuilt from the resident records), ARM
-        its arrival trackers.
+        The engine deep-copies every policy's state in one call, so
+        objects two policies share (a fixed-allocation pair's estimator
+        mapping) are stored once and restored shared; a policy must not
+        copy its own state.  Stateless policies (FIFO, PROB and LIFE over
+        static tables — everything they need lives in the memory
+        structures) return ``None``.  Stateful policies must return
+        enough to make a restored run bit-identical to an uninterrupted
+        one: RAND captures its RNG state, PROB and LIFE their live
+        estimators (PROB's heap is rebuilt from the resident records),
+        ARM its arrival trackers.
         """
         return None
 
     def restore_state(self, state, records: Sequence[TupleRecord]) -> None:
         """Rebuild private state after the memory was restored.
 
+        ``state`` is this policy's own copy of what
+        :meth:`snapshot_state` returned; keep it without copying.
         ``records`` are the resident tuples this policy governs, in
         admission order, freshly rebuilt by
         :meth:`~repro.core.memory.StreamMemory.restore` — any internal
@@ -126,6 +135,60 @@ class EvictionPolicy(ABC):
         )
 
 
+class EstimatorPolicy(EvictionPolicy):
+    """Wiring shared by the policies that score against the statistics
+    module (PROB and LIFE).
+
+    ``estimators`` maps each stream name (``"R"``/``"S"``) to the
+    frequency estimator of *that stream's own* arrival distribution; a
+    tuple is scored against the *other* stream's estimator, matching the
+    paper's ``p_S(r(i))`` / ``p_R(s(i))``.  The mapping is kept by
+    reference: the two fixed-allocation instances
+    :func:`~repro.core.policies.make_policy_spec` builds read one pair,
+    which :func:`arrival_observers` feeds once per arrival.
+
+    Whether the mapping is fed follows from what it holds.  A frozen
+    :class:`~repro.stats.frequency.StaticFrequencyTable` is never fed;
+    when both sides are static, partner probabilities collapse to one
+    dict lookup (the cache the columnar lanes read).  Any other
+    estimator observes every arrival on its own stream.
+    """
+
+    def __init__(self, estimators: Mapping[str, FrequencyEstimator]) -> None:
+        super().__init__()
+        missing = {"R", "S"} - set(estimators)
+        if missing:
+            raise ValueError(f"estimators missing for streams: {sorted(missing)}")
+        self._estimators = estimators
+        self.observes_arrivals = not all(
+            isinstance(est, StaticFrequencyTable) for est in estimators.values()
+        )
+        self._partner_probs: Optional[dict] = None
+        if not self.observes_arrivals:
+            self._refresh_partner_probs()
+            # A wholesale table update (re-baselining from an online
+            # estimator or a drift detector) invalidates the cache;
+            # rebuild it instead of serving stale probabilities.
+            for est in estimators.values():
+                est.subscribe(self._refresh_partner_probs)
+
+    def _refresh_partner_probs(self) -> None:
+        self._partner_probs = {
+            "R": self._estimators["S"].as_dict(),
+            "S": self._estimators["R"].as_dict(),
+        }
+
+    def observe_arrival(self, stream: str, key: Hashable, now: int) -> None:
+        self._estimators[stream].observe(key)
+
+    def snapshot_state(self):
+        return {"estimators": self._estimators} if self.observes_arrivals else None
+
+    def restore_state(self, state, records: Sequence[TupleRecord]) -> None:
+        if state is not None:
+            self._estimators = state["estimators"]
+
+
 def arrival_observers(
     policies: Iterable[Optional["EvictionPolicy"]],
 ) -> Sequence["EvictionPolicy"]:
@@ -133,17 +196,22 @@ def arrival_observers(
 
     A policy is an observer iff it overrides
     :meth:`EvictionPolicy.observe_arrival` *and* its
-    ``observes_arrivals`` flag is truthy.  Engines and the kernel build
-    their broadcast list through this one helper so the filtering rule
-    cannot drift.
+    ``observes_arrivals`` flag is truthy.  A policy listed twice (a
+    shared pool's R and S slots), and estimator policies that read one
+    mapping, count as one observer, so each live estimator sees every
+    arrival exactly once.  Engines and the kernel build their broadcast
+    list through this one helper so the filtering rule cannot drift.
     """
-    return tuple(
-        p
-        for p in policies
-        if p is not None
-        and type(p).observe_arrival is not EvictionPolicy.observe_arrival
-        and p.observes_arrivals
-    )
+    observers: dict[int, EvictionPolicy] = {}
+    for p in policies:
+        if (
+            p is not None
+            and type(p).observe_arrival is not EvictionPolicy.observe_arrival
+            and p.observes_arrivals
+        ):
+            feed = p._estimators if isinstance(p, EstimatorPolicy) else p
+            observers.setdefault(id(feed), p)
+    return tuple(observers.values())
 
 
 def later_arrival_wins(

@@ -17,77 +17,35 @@ full-lifetime assumption overestimates output for low-probability tuples.
 
 from __future__ import annotations
 
-import copy
 from typing import Mapping, Optional
 
-from ...stats.frequency import FrequencyEstimator, StaticFrequencyTable
+from ...stats.frequency import FrequencyEstimator
 from ..memory import StreamMemory, TupleRecord
-from .base import EvictionPolicy, later_arrival_wins
+from .base import EstimatorPolicy, later_arrival_wins
 
 
-class LifePolicy(EvictionPolicy):
+class LifePolicy(EstimatorPolicy):
     """Remaining-lifetime x probability eviction (LIFE; LIFEV on a pool).
 
     Parameters
     ----------
     estimators:
         As for :class:`~repro.core.policies.prob.ProbPolicy`: per-stream
-        arrival-distribution estimators; a tuple is scored against the
-        *other* stream's estimator.
+        arrival-distribution estimators, kept by reference; a tuple is
+        scored against the *other* stream's estimator, and online
+        estimators observe every arrival.
     window:
         Window size ``w``; a tuple arriving at ``i`` has remaining
         lifetime ``i + w - now`` at decision time ``now``.
-    update_estimators:
-        As for :class:`~repro.core.policies.prob.ProbPolicy`: when True,
-        each arrival is fed to its own stream's estimator so online
-        statistics (EWMA, sketches) track the live distribution.
     """
 
     name = "LIFE"
 
-    def __init__(
-        self,
-        estimators: Mapping[str, FrequencyEstimator],
-        window: int,
-        *,
-        update_estimators: bool = False,
-    ) -> None:
-        super().__init__()
-        missing = {"R", "S"} - set(estimators)
-        if missing:
-            raise ValueError(f"estimators missing for streams: {sorted(missing)}")
+    def __init__(self, estimators: Mapping[str, FrequencyEstimator], window: int) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        self._estimators = dict(estimators)
+        super().__init__(estimators)
         self._window = window
-        self._update_estimators = update_estimators
-        # Static tables never change, so partner probabilities collapse
-        # to one dict lookup per scanned key (mirrors ProbPolicy).
-        if not update_estimators and all(
-            isinstance(est, StaticFrequencyTable) for est in self._estimators.values()
-        ):
-            self._partner_probs: Optional[dict] = {
-                "R": self._estimators["S"].as_dict(),
-                "S": self._estimators["R"].as_dict(),
-            }
-            # Rebuild the cache when a table is updated wholesale
-            # (re-baselining); stale probabilities would silently skew
-            # every later eviction contest.
-            for est in self._estimators.values():
-                est.subscribe(self._refresh_partner_probs)
-        else:
-            self._partner_probs = None
-        self.observes_arrivals = update_estimators
-
-    def _refresh_partner_probs(self) -> None:
-        self._partner_probs = {
-            "R": self._estimators["S"].as_dict(),
-            "S": self._estimators["R"].as_dict(),
-        }
-
-    def observe_arrival(self, stream: str, key, now: int) -> None:
-        if self._update_estimators:
-            self._estimators[stream].observe(key)
 
     def partner_probability(self, stream: str, key) -> float:
         probs = self._partner_probs
@@ -173,14 +131,3 @@ class LifePolicy(EvictionPolicy):
         ):
             return weakest
         return None
-
-    def snapshot_state(self):
-        # LIFE keeps no heap — priorities are recomputed by scanning the
-        # memory — so only mutable estimator state needs capturing.
-        if not self._update_estimators:
-            return None
-        return {"estimators": copy.deepcopy(self._estimators)}
-
-    def restore_state(self, state, records) -> None:
-        if state is not None and "estimators" in state:
-            self._estimators = copy.deepcopy(state["estimators"])

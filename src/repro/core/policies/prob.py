@@ -9,33 +9,26 @@ key, a lazy min-heap gives O(log M) decisions.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from itertools import count
 from typing import Mapping, Optional
 
-from ...stats.frequency import FrequencyEstimator, StaticFrequencyTable
+from ...stats.frequency import FrequencyEstimator
 from ..memory import TupleRecord
-from .base import EvictionPolicy, later_arrival_wins
+from .base import EstimatorPolicy, later_arrival_wins
 
 
-class ProbPolicy(EvictionPolicy):
+class ProbPolicy(EstimatorPolicy):
     """Partner-arrival-probability eviction (PROB; PROBV on a shared pool).
 
     Parameters
     ----------
     estimators:
         Mapping from stream name (``"R"``/``"S"``) to the frequency
-        estimator of *that stream's own* arrival distribution.  A resident
-        R-tuple is scored with the S estimator and vice versa, matching
-        the paper's ``p_S(r(i))`` / ``p_R(s(i))``.
-
-    update_estimators:
-        When True, every arrival on either stream is fed to its own
-        stream's estimator (for online statistics such as
-        :class:`~repro.stats.ewma.EwmaFrequencyEstimator` or the sketch
-        estimators).  The paper's experiments keep the estimators static
-        (the default).
+        estimator of *that stream's own* arrival distribution, kept by
+        reference (:class:`~repro.core.policies.base.EstimatorPolicy`).
+        The paper's experiments use static tables, which are never fed;
+        online estimators (EWMA, the sketches) observe every arrival.
 
     Notes
     -----
@@ -47,18 +40,8 @@ class ProbPolicy(EvictionPolicy):
 
     name = "PROB"
 
-    def __init__(
-        self,
-        estimators: Mapping[str, FrequencyEstimator],
-        *,
-        update_estimators: bool = False,
-    ) -> None:
-        super().__init__()
-        missing = {"R", "S"} - set(estimators)
-        if missing:
-            raise ValueError(f"estimators missing for streams: {sorted(missing)}")
-        self._estimators = dict(estimators)
-        self._update_estimators = update_estimators
+    def __init__(self, estimators: Mapping[str, FrequencyEstimator]) -> None:
+        super().__init__(estimators)
         # Lazy min-heap of (priority, arrival, seq, record).  Dead
         # entries (expired/evicted residents) are dropped lazily on pop
         # and compacted in bulk once they outnumber the live ones —
@@ -68,36 +51,6 @@ class ProbPolicy(EvictionPolicy):
         self._heap: list[tuple[float, int, int, TupleRecord]] = []
         self._seq = count()
         self._dead = 0
-        # Static tables never change, so partner probabilities collapse
-        # to one dict lookup per decision.  Online estimators (or
-        # update_estimators=True) must keep going through the estimator.
-        if not update_estimators and all(
-            isinstance(est, StaticFrequencyTable) for est in self._estimators.values()
-        ):
-            self._partner_probs: Optional[dict] = {
-                "R": self._estimators["S"].as_dict(),
-                "S": self._estimators["R"].as_dict(),
-            }
-            # A wholesale table update (re-baselining from an online
-            # estimator or a drift detector) invalidates the cache;
-            # rebuild it instead of serving stale probabilities.
-            for est in self._estimators.values():
-                est.subscribe(self._refresh_partner_probs)
-        else:
-            self._partner_probs = None
-        # The engine skips the per-tick observe_arrival broadcast for
-        # policies that declare they don't consume it.
-        self.observes_arrivals = update_estimators
-
-    def _refresh_partner_probs(self) -> None:
-        self._partner_probs = {
-            "R": self._estimators["S"].as_dict(),
-            "S": self._estimators["R"].as_dict(),
-        }
-
-    def observe_arrival(self, stream: str, key, now: int) -> None:
-        if self._update_estimators:
-            self._estimators[stream].observe(key)
 
     def partner_probability(self, record: TupleRecord) -> float:
         """Probability that a partner for ``record`` arrives next tick."""
@@ -149,16 +102,8 @@ class ProbPolicy(EvictionPolicy):
     def weakest_resident(self, stream: str, now: int) -> Optional[TupleRecord]:
         return self._peek_min_alive()
 
-    def snapshot_state(self):
-        # The heap is rebuilt from the resident records on restore; only
-        # mutable estimator state needs capturing.
-        if not self._update_estimators:
-            return None
-        return {"estimators": copy.deepcopy(self._estimators)}
-
     def restore_state(self, state, records) -> None:
-        if state is not None and "estimators" in state:
-            self._estimators = copy.deepcopy(state["estimators"])
+        super().restore_state(state, records)
         # Re-push the governed residents in admission order with fresh
         # sequence numbers: relative seq order equals the original run's,
         # so pop order among live entries is identical (the original

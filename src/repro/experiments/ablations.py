@@ -41,13 +41,10 @@ from .figures import TableData
 from .runner import estimators_for, run_algorithm
 
 
-def _run_prob_with(pair, window, memory, estimators, *, update: bool) -> int:
-    """One PROB run with explicit estimator instances per side."""
+def _run_prob_with(pair, window, memory, estimators) -> int:
+    """One fixed-allocation PROB run reading the given estimator pair."""
     config = EngineConfig(window=window, memory=memory)
-    policy = SidePolicies(
-        r=ProbPolicy(estimators, update_estimators=update),
-        s=ProbPolicy(estimators, update_estimators=update),
-    )
+    policy = SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators))
     return JoinEngine(config, policy=policy).run(pair).output_count
 
 
@@ -67,34 +64,25 @@ def statistics_ablation(
 
     true_tables = estimators_for(pair)
 
-    def fresh_estimators(kind: str) -> tuple[dict, bool]:
+    def fresh_estimators(kind: str) -> dict:
         if kind == "true distribution (paper)":
-            return true_tables, False
+            return true_tables
         if kind == "online exact counts":
-            return {"R": OnlineFrequencyCounter(), "S": OnlineFrequencyCounter()}, True
+            return {"R": OnlineFrequencyCounter(), "S": OnlineFrequencyCounter()}
         if kind == "EWMA (alpha=0.01)":
-            return (
-                {"R": EwmaFrequencyEstimator(0.01), "S": EwmaFrequencyEstimator(0.01)},
-                True,
-            )
+            return {"R": EwmaFrequencyEstimator(0.01), "S": EwmaFrequencyEstimator(0.01)}
         if kind == "Count-Min (20x4)":
-            return (
-                {
-                    "R": CountMinSketch(20, 4, seed=seed),
-                    "S": CountMinSketch(20, 4, seed=seed + 1),
-                },
-                True,
-            )
+            return {
+                "R": CountMinSketch(20, 4, seed=seed),
+                "S": CountMinSketch(20, 4, seed=seed + 1),
+            }
         if kind == "Space-Saving (16)":
-            return {"R": SpaceSaving(16), "S": SpaceSaving(16)}, True
+            return {"R": SpaceSaving(16), "S": SpaceSaving(16)}
         if kind == "Reservoir (128)":
-            return (
-                {
-                    "R": ReservoirSample(128, seed=seed),
-                    "S": ReservoirSample(128, seed=seed + 1),
-                },
-                True,
-            )
+            return {
+                "R": ReservoirSample(128, seed=seed),
+                "S": ReservoirSample(128, seed=seed + 1),
+            }
         raise ValueError(kind)
 
     kinds = (
@@ -108,8 +96,7 @@ def statistics_ablation(
     rand = run_algorithm("RAND", pair, window, memory, seed=seed).output_count
     rows: list[list] = []
     for kind in kinds:
-        estimators, update = fresh_estimators(kind)
-        output = _run_prob_with(pair, window, memory, estimators, update=update)
+        output = _run_prob_with(pair, window, memory, fresh_estimators(kind))
         rows.append([kind, output, round(output / max(rand, 1), 2)])
     rows.append(["(RAND baseline)", rand, 1.0])
 
@@ -161,7 +148,7 @@ def predictor_quality_ablation(
             "R": StaticFrequencyTable.from_array(blend_r),
             "S": StaticFrequencyTable.from_array(blend_s),
         }
-        output = _run_prob_with(pair, window, memory, estimators, update=False)
+        output = _run_prob_with(pair, window, memory, estimators)
         rows.append([noise, output, round(output / max(opt, 1), 3)])
     rows.append(["RAND", rand, round(rand / max(opt, 1), 3)])
 
@@ -200,10 +187,10 @@ def drift_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData
         "R": StaticFrequencyTable.from_stream(pair.r[:half]),
         "S": StaticFrequencyTable.from_stream(pair.s[:half]),
     }
-    stale_output = _run_prob_with(pair, window, memory, stale, update=False)
+    stale_output = _run_prob_with(pair, window, memory, stale)
 
     adaptive = {"R": EwmaFrequencyEstimator(0.02), "S": EwmaFrequencyEstimator(0.02)}
-    adaptive_output = _run_prob_with(pair, window, memory, adaptive, update=True)
+    adaptive_output = _run_prob_with(pair, window, memory, adaptive)
 
     rand = run_algorithm("RAND", pair, window, memory, seed=seed).output_count
 

@@ -5,22 +5,18 @@ Frequency estimators feeding the semantic load-shedding policies:
 * :class:`StaticFrequencyTable` — the paper's estimator (offline table);
 * :class:`OnlineFrequencyCounter` — exact incremental counts;
 * :class:`EwmaFrequencyEstimator` — decayed counts for shifting data;
-* :class:`CountMinSketch`, :class:`SpaceSaving` — bounded-memory sketches;
-* histograms for numeric domains and compact summaries.
+* :class:`CountMinSketch`, :class:`SpaceSaving` — bounded-memory sketches.
 """
 
 from .countmin import CountMinSketch
 from .ewma import EwmaFrequencyEstimator
 from .frequency import FrequencyEstimator, OnlineFrequencyCounter, StaticFrequencyTable
-from .histogram import EquiDepthHistogram, EquiWidthHistogram
 from .quantiles import GKQuantileSummary
 from .reservoir import ReservoirSample
 from .spacesaving import SpaceSaving
 
 __all__ = [
     "CountMinSketch",
-    "EquiDepthHistogram",
-    "EquiWidthHistogram",
     "EwmaFrequencyEstimator",
     "FrequencyEstimator",
     "GKQuantileSummary",

@@ -5,11 +5,24 @@ multiplies all existing weights by ``1 - alpha`` and adds ``alpha`` to the
 observed key, so the estimate is an exponentially weighted moving average
 of the key's indicator sequence.  Decay is applied lazily per key, making
 ``observe`` and ``probability`` O(1).
+
+State stays bounded on an unbounded key domain: a key's decayed weight
+underflows to exactly ``0.0`` a fixed number of arrivals after its last
+observation (the *horizon*: 14,527 at ``alpha = 0.05``, 74,141 at
+``0.01``; a key seen once reads 0.0 a little sooner, after 14,470 and
+73,683).  Whenever the table has doubled since the last sweep, a sweep
+drops the entries that read 0.0, which a missing entry also reads, so
+every estimate is bit-identical to an unpruned estimator's.  A sweep
+keeps at most one key per arrival of the last horizon, so at most
+``2 * horizon + 64`` keys are held, at amortised O(1) cost per arrival.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
+
+#: Table size below which no sweep runs (the sweep threshold's floor).
+_MIN_SWEEP = 64
 
 
 class EwmaFrequencyEstimator:
@@ -30,6 +43,7 @@ class EwmaFrequencyEstimator:
         # key -> (weight at time of last update, update step)
         self._weights: dict[Hashable, tuple[float, int]] = {}
         self._step = 0
+        self._sweep_above = _MIN_SWEEP
 
     def _current_weight(self, key: Hashable) -> float:
         entry = self._weights.get(key)
@@ -44,6 +58,15 @@ class EwmaFrequencyEstimator:
         self._step += 1
         decayed = self._current_weight(key)
         self._weights[key] = (decayed + self._alpha, self._step)
+        if len(self._weights) > self._sweep_above:
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Drop the keys whose weight reads exactly 0.0 (module docstring)."""
+        current = self._current_weight
+        for key in [key for key in self._weights if current(key) == 0.0]:
+            del self._weights[key]
+        self._sweep_above = 2 * len(self._weights) + _MIN_SWEEP
 
     def probability(self, key: Hashable) -> float:
         """EWMA estimate of the key's arrival probability.

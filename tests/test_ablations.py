@@ -30,32 +30,24 @@ def tiny_scale():
 
 class TestProbPolicyOnlineEstimators:
     def test_update_flag_feeds_estimators(self):
+        # Live estimators are always fed; there is no flag to set.
         estimators = {"R": OnlineFrequencyCounter(), "S": OnlineFrequencyCounter()}
-        policy = ProbPolicy(estimators, update_estimators=True)
+        policy = ProbPolicy(estimators)
         policy.observe_arrival("R", 5, 0)
         policy.observe_arrival("S", 7, 0)
         assert estimators["R"].count(5) == 1
         assert estimators["S"].count(7) == 1
-
-    def test_default_does_not_feed(self):
-        estimators = {"R": OnlineFrequencyCounter(), "S": OnlineFrequencyCounter()}
-        policy = ProbPolicy(estimators)
-        policy.observe_arrival("R", 5, 0)
-        assert estimators["R"].total == 0
 
     def test_engine_run_with_online_estimators(self, small_zipf_pair):
         estimators = {"R": EwmaFrequencyEstimator(0.05), "S": EwmaFrequencyEstimator(0.05)}
         config = EngineConfig(window=20, memory=10)
         engine = JoinEngine(
             config,
-            policy=SidePolicies(
-                r=ProbPolicy(estimators, update_estimators=True),
-                s=ProbPolicy(estimators, update_estimators=True),
-            ),
+            policy=SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators)),
         )
         result = engine.run(small_zipf_pair)
         assert result.output_count > 0
-        assert estimators["R"].steps == 2 * len(small_zipf_pair)  # fed by both policies
+        assert estimators["R"].steps == len(small_zipf_pair)  # fed once per arrival
 
 
 class TestStatisticsAblation:

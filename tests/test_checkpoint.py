@@ -13,12 +13,13 @@ from repro.core.policies import (
     ProbPolicy,
     RandomEvictionPolicy,
     SidePolicies,
+    make_policy_spec,
 )
 from repro.core.results import SCHEMA_VERSION
 from repro.experiments.runner import estimators_for
 from repro.obs import MetricsRegistry
 from repro.runtime import CheckpointStore
-from repro.stats import CountMinSketch
+from repro.stats import CountMinSketch, EwmaFrequencyEstimator
 from repro.streams import zipf_pair
 
 
@@ -235,8 +236,8 @@ class TestEngineResumeIdentity:
                 }
 
             return SidePolicies(
-                r=LifePolicy(sketches(), WINDOW, update_estimators=True),
-                s=LifePolicy(sketches(), WINDOW, update_estimators=True),
+                r=LifePolicy(sketches(), WINDOW),
+                s=LifePolicy(sketches(), WINDOW),
             )
 
         baseline = AsyncJoinEngine(_config("LIFE"), policy=policies()).run(*batches)
@@ -323,3 +324,72 @@ class TestEngineResumeIdentity:
         )
         assert resumed.arrivals == baseline.arrivals
         assert _fingerprint(resumed) == _fingerprint(baseline)
+
+
+# ----------------------------------------------------------------------
+# one shared estimator pair: fed once, checkpointed once
+# ----------------------------------------------------------------------
+
+LIVE_PAIR = zipf_pair(600, 10, 1.0, seed=5)
+LIVE_BATCHES = ([[key] for key in LIVE_PAIR.r], [[key] for key in LIVE_PAIR.s])
+
+#: Fresh live estimators per policy: PROB + EWMA, LIFE + Count-Min.
+LIVE_ESTIMATORS = {
+    "PROB": lambda: {side: EwmaFrequencyEstimator(0.05) for side in "RS"},
+    "LIFE": lambda: {
+        side: CountMinSketch(16, 3, seed=1, conservative=True) for side in "RS"
+    },
+}
+
+
+def _live_policies(name):
+    """The fixed-allocation wiring ``run()`` builds: two instances, one
+    estimator mapping."""
+    return make_policy_spec(name, estimators=LIVE_ESTIMATORS[name](), window=WINDOW)
+
+
+def _live_checkpoint(name, checkpoint_tick):
+    saved = {}
+
+    def on_tick(engine, t):
+        if t == checkpoint_tick:
+            saved["state"] = engine.checkpoint()
+
+    AsyncJoinEngine(_config(name), policy=_live_policies(name)).run(
+        *LIVE_BATCHES, on_tick=on_tick
+    )
+    return saved["state"]
+
+
+class TestSharedEstimatorResume:
+    @pytest.mark.parametrize("via", ["memory", "store"])
+    @pytest.mark.parametrize("checkpoint_tick", [57, 211, 433])
+    @pytest.mark.parametrize("name", ["PROB", "LIFE"])
+    def test_resume_matches_uninterrupted(self, tmp_path, name, checkpoint_tick, via):
+        baseline = AsyncJoinEngine(_config(name), policy=_live_policies(name)).run(
+            *LIVE_BATCHES
+        )
+        state = _live_checkpoint(name, checkpoint_tick)
+        if via == "store":
+            store = CheckpointStore(tmp_path)
+            store.save(name, state, fingerprint="fp")
+            state = store.load(name, fingerprint="fp")
+        resumed = AsyncJoinEngine(_config(name), policy=_live_policies(name)).run(
+            *LIVE_BATCHES, resume=state
+        )
+        assert resumed.drop_breakdown().evicted > 0
+        assert _fingerprint(resumed) == _fingerprint(baseline)
+
+    @pytest.mark.parametrize("name", ["PROB", "LIFE"])
+    def test_checkpoint_stores_the_mapping_once(self, tmp_path, name):
+        store = CheckpointStore(tmp_path)
+        store.save(name, _live_checkpoint(name, 211), fingerprint="fp")
+        r_state, s_state = store.load(name, fingerprint="fp")["policies"]
+        assert r_state["estimators"] is s_state["estimators"]
+
+    def test_resumed_policies_share_one_mapping(self):
+        policy = _live_policies("PROB")
+        AsyncJoinEngine(_config("PROB"), policy=policy).run(
+            *LIVE_BATCHES, resume=_live_checkpoint("PROB", 211)
+        )
+        assert policy.r._estimators is policy.s._estimators

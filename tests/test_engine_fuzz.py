@@ -22,10 +22,19 @@ from repro.streams.tuples import StreamPair
 from tests.reference_engine import NaiveCountMin, NaiveResult, naive_run
 
 
+def ledger(result):
+    """A run's output and whole-run drop ledger, shaped like the reference's."""
+    drops = result.drop_breakdown()
+    return NaiveResult(
+        result.output_count, drops.rejected, drops.evicted, drops.expired
+    )
+
+
 def path_outputs(name, pair, window, memory, estimators=None):
-    """Output of every loop a pair can reach: the fast loop, the kernel
-    loop (``materialize`` forces it), the incremental source path, and
-    the columnar lanes over the pair and over the re-chunked source."""
+    """Output and drop ledger of every loop a pair can reach: the fast
+    loop, the kernel loop (``materialize`` forces it), the incremental
+    source path, and the columnar lanes over the pair and over the
+    re-chunked source."""
     fast = run_algorithm(name, pair, window, memory, estimators=estimators)
     kernel = run_algorithm(
         name, pair, window, memory, estimators=estimators, materialize=True
@@ -43,11 +52,11 @@ def path_outputs(name, pair, window, memory, estimators=None):
     )
     assert len(kernel.pairs) == kernel.output_count
     return {
-        "fast": fast.output_count,
-        "kernel": kernel.output_count,
-        "source": source.output_count,
-        "batch": batch.output_count,
-        "batch_source": batch_source.output_count,
+        "fast": ledger(fast),
+        "kernel": ledger(kernel),
+        "source": ledger(source),
+        "batch": ledger(batch),
+        "batch_source": ledger(batch_source),
     }
 
 
@@ -63,7 +72,7 @@ def test_prob_matches_reference_fixed(seed, window, half, skew):
     memory = 2 * half
     estimators = estimators_for(pair)
     outputs = path_outputs("PROB", pair, window, memory, estimators)
-    reference = naive_run(pair, window, memory, "PROB", estimators).output
+    reference = naive_run(pair, window, memory, "PROB", estimators)
     assert outputs == dict.fromkeys(outputs, reference)
 
 
@@ -77,9 +86,7 @@ def test_probv_matches_reference_variable(seed, window, memory):
     pair = zipf_pair(120, 5, 1.0, seed=seed)
     estimators = estimators_for(pair)
     outputs = path_outputs("PROBV", pair, window, memory, estimators)
-    reference = naive_run(
-        pair, window, memory, "PROB", estimators, variable=True
-    ).output
+    reference = naive_run(pair, window, memory, "PROB", estimators, variable=True)
     assert outputs == dict.fromkeys(outputs, reference)
 
 
@@ -94,7 +101,7 @@ def test_life_matches_reference_fixed(seed, window, half):
     memory = 2 * half
     estimators = estimators_for(pair)
     outputs = path_outputs("LIFE", pair, window, memory, estimators)
-    reference = naive_run(pair, window, memory, "LIFE", estimators).output
+    reference = naive_run(pair, window, memory, "LIFE", estimators)
     assert outputs == dict.fromkeys(outputs, reference)
 
 
@@ -108,9 +115,7 @@ def test_lifev_matches_reference_variable(seed, window, memory):
     pair = zipf_pair(100, 5, 1.0, seed=seed)
     estimators = estimators_for(pair)
     outputs = path_outputs("LIFEV", pair, window, memory, estimators)
-    reference = naive_run(
-        pair, window, memory, "LIFE", estimators, variable=True
-    ).output
+    reference = naive_run(pair, window, memory, "LIFE", estimators, variable=True)
     assert outputs == dict.fromkeys(outputs, reference)
 
 
@@ -119,12 +124,12 @@ def test_lifev_matches_reference_variable(seed, window, memory):
 def test_exact_matches_reference(seed, window):
     pair = zipf_pair(120, 5, 1.0, seed=seed)
     outputs = path_outputs("EXACT", pair, window, 0)
-    reference = naive_run(pair, window, 2 * window, "EXACT").output
+    reference = naive_run(pair, window, 2 * window, "EXACT")
     assert outputs == dict.fromkeys(outputs, reference)
 
 
 # ----------------------------------------------------------------------
-# live estimators through the source path
+# live estimators through every loop that feeds them
 # ----------------------------------------------------------------------
 
 #: Key encodings: ints take ``hash()``, the rest the sketch's stable hash.
@@ -145,28 +150,33 @@ def keyed_pair(length, domain, seed, key_type):
 
 def online_ledger(name, pair, window, memory, make_estimators):
     """Output and drop ledger of ``name`` with live estimators, through
-    ``run_stream`` (the kernel loop every ``repro serve`` run takes)."""
-    config = EngineConfig(window=window, memory=memory, variable=name.endswith("V"))
-    policy = make_policy_spec(
-        name, estimators=make_estimators(), window=window, update_estimators=True
-    )
-    result = JoinEngine(config, policy=policy).run_stream(
-        PairSource(pair), until=len(pair)
-    )
-    drops = result.drop_breakdown()
-    return NaiveResult(
-        result.output_count, drops.rejected, drops.evicted, drops.expired
-    )
+    each loop that feeds them: the pair's fast loop, the kernel loop
+    (``materialize`` forces it) and ``run_stream`` (the loop every
+    ``repro serve`` run takes).  Each run gets fresh estimators."""
+    def engine(**extra):
+        config = EngineConfig(
+            window=window, memory=memory, variable=name.endswith("V"), **extra
+        )
+        policy = make_policy_spec(name, estimators=make_estimators(), window=window)
+        return JoinEngine(config, policy=policy)
+
+    runs = {
+        "fast": engine().run(pair),
+        "kernel": engine(materialize=True).run(pair),
+        "source": engine().run_stream(PairSource(pair), until=len(pair)),
+    }
+    return {path: ledger(result) for path, result in runs.items()}
 
 
 def assert_online_matches(name, pair, window, memory, make_estimators, reference):
     """The engine, fed ``make_estimators()``, equals the naive run fed the
-    ``reference`` estimators."""
+    ``reference`` estimators on every loop."""
     expected = naive_run(
         pair, window, memory, name.rstrip("V"), reference,
         variable=name.endswith("V"), online=True,
     )
-    assert online_ledger(name, pair, window, memory, make_estimators) == expected
+    ledgers = online_ledger(name, pair, window, memory, make_estimators)
+    assert ledgers == dict.fromkeys(ledgers, expected)
 
 
 @settings(max_examples=40, deadline=None)

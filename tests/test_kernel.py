@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.kernel import JoinKernel
 from repro.core.memory import JoinMemory, TupleRecord
-from repro.core.policies import FifoPolicy
+from repro.core.policies import FifoPolicy, LifePolicy, ProbPolicy
 from repro.core.policies.base import EvictionPolicy, arrival_observers
+from repro.stats import OnlineFrequencyCounter, StaticFrequencyTable
 
 
 def _fifo_kernel(capacity=4, **kwargs):
@@ -143,6 +144,16 @@ class TestArrivalObservers:
 
         plain, watcher, muted = Plain(), Watcher(), MutedWatcher()
         assert arrival_observers([plain, watcher, muted, None]) == (watcher,)
+        assert arrival_observers([watcher, watcher]) == (watcher,)
+
+    def test_policies_reading_one_mapping_are_one_observer(self):
+        live = {"R": OnlineFrequencyCounter(), "S": OnlineFrequencyCounter()}
+        r, s = ProbPolicy(live), LifePolicy(live, 5)
+        assert arrival_observers([r, s]) == (r,)
+        other = ProbPolicy(dict(live))
+        assert arrival_observers([r, other]) == (r, other)
+        static = {"R": StaticFrequencyTable({1: 1}), "S": StaticFrequencyTable({1: 1})}
+        assert arrival_observers([ProbPolicy(static), LifePolicy(static, 5)]) == ()
 
     def test_kernel_observe_reaches_observers(self):
         class Counting(EvictionPolicy):

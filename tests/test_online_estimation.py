@@ -19,10 +19,17 @@ The bands are deliberately loose relative to measured behaviour
 regressions, not on RNG noise.
 """
 
+import random
+
 import pytest
 
 from repro.api import RunSpec, run
-from repro.streams.sources import DriftingZipfSource, ZipfSource
+from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
+from repro.core.engine import EngineConfig, JoinEngine
+from repro.core.policies import make_policy_spec
+from repro.stats import OnlineFrequencyCounter
+from repro.streams import zipf_pair
+from repro.streams.sources import DriftingZipfSource, PairSource, ZipfSource
 
 WINDOW = 100
 MEMORY = 50
@@ -107,3 +114,50 @@ class TestEstimatorKnobs:
         assert output_of(source, estimator="countmin") == output_of(
             source, estimator="countmin"
         )
+
+
+class TestFedOncePerArrival:
+    """One statistics module per run: each live estimator observes every
+    arrival on its own stream exactly once, however many policies read
+    it and whichever loop feeds it.  ``OnlineFrequencyCounter.total``
+    counts its ``observe`` calls."""
+
+    PAIR = zipf_pair(300, 8, 1.0, seed=3)
+
+    @staticmethod
+    def counters():
+        return {side: OnlineFrequencyCounter() for side in "RS"}
+
+    def engine(self, name, estimators, **config):
+        return JoinEngine(
+            EngineConfig(window=20, memory=10, variable=name.endswith("V"), **config),
+            policy=make_policy_spec(name, estimators=estimators, window=20),
+        )
+
+    @pytest.mark.parametrize("name", ["PROB", "PROBV", "LIFE", "LIFEV"])
+    @pytest.mark.parametrize("path", ["fast", "kernel", "run_stream"])
+    def test_synchronous_loops(self, name, path):
+        estimators = self.counters()
+        if path == "run_stream":
+            self.engine(name, estimators).run_stream(
+                PairSource(self.PAIR), until=len(self.PAIR)
+            )
+        else:
+            self.engine(name, estimators, materialize=path == "kernel").run(self.PAIR)
+        assert estimators["R"].total == len(self.PAIR.r)
+        assert estimators["S"].total == len(self.PAIR.s)
+
+    @pytest.mark.parametrize("name", ["PROB", "PROBV", "LIFE", "LIFEV"])
+    def test_async_run(self, name):
+        rng = random.Random(7)
+        batches = [
+            [[rng.randrange(8) for _ in range(rng.randrange(4))] for _ in range(200)]
+            for _ in "RS"
+        ]
+        estimators = self.counters()
+        AsyncJoinEngine(
+            AsyncEngineConfig(window=20, memory=10, variable=name.endswith("V")),
+            policy=make_policy_spec(name, estimators=estimators, window=20),
+        ).run(*batches)
+        for side, side_batches in zip("RS", batches):
+            assert estimators[side].total == sum(map(len, side_batches))

@@ -87,7 +87,7 @@ class TestLaneGating:
         assert self._kind(prob, life) is None  # mixed kinds
         assert self._kind(ArmAwarePolicy(est, 10), ArmAwarePolicy(est, 10)) is None
         ewma = {"R": EwmaFrequencyEstimator(0.1), "S": EwmaFrequencyEstimator(0.1)}
-        updating = ProbPolicy(ewma, update_estimators=True)
+        updating = ProbPolicy(ewma)
         assert self._kind(updating, updating, variable=True) is None
         # Arrival observers force the per-tuple path outright.
         assert self._kind(prob, ProbPolicy(est), observers=[object()]) is None

@@ -1,15 +1,15 @@
 """Tests for the statistics module (frequency estimators & sketches)."""
 
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
-from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import (
     CountMinSketch,
-    EquiDepthHistogram,
-    EquiWidthHistogram,
     EwmaFrequencyEstimator,
     FrequencyEstimator,
     OnlineFrequencyCounter,
@@ -73,6 +73,40 @@ class TestOnlineCounter:
             OnlineFrequencyCounter(smoothing=-1)
 
 
+def underflow_horizon(alpha):
+    """Fewest arrivals after which ``(1 - alpha) ** n`` reads exactly 0.0:
+    no weight (at most 1) outlives this many arrivals without its key."""
+    n = 1
+    while alpha < 1.0 and (1.0 - alpha) ** n != 0.0:
+        n += 1
+    return n
+
+
+class UnprunedEwma:
+    """EWMA that keeps every key it has seen: the estimator before pruning."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self.weights = {}
+        self.step = 0
+
+    def weight(self, key):
+        weight, updated_at = self.weights.get(key, (0.0, self.step))
+        if self.alpha == 1.0:
+            return weight if updated_at == self.step else 0.0
+        return weight * ((1.0 - self.alpha) ** (self.step - updated_at))
+
+    def observe(self, key):
+        self.step += 1
+        self.weights[key] = (self.weight(key) + self.alpha, self.step)
+
+    def probability(self, key):
+        if self.step == 0:
+            return 0.0
+        total = 1.0 if self.alpha == 1.0 else 1.0 - (1.0 - self.alpha) ** self.step
+        return self.weight(key) / total if total > 0.0 else 0.0
+
+
 class TestEwma:
     def test_converges_on_stationary_stream(self):
         est = EwmaFrequencyEstimator(alpha=0.01)
@@ -105,6 +139,46 @@ class TestEwma:
         for alpha in (0.0, -1, 1.5):
             with pytest.raises(ValueError):
                 EwmaFrequencyEstimator(alpha)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([0.3, 0.5, 0.9, 1.0]),
+        domain=st.integers(1, 2000),
+        length=st.integers(1, 4000),
+    )
+    def test_pruning_keeps_every_estimate_bit_identical(
+        self, seed, alpha, domain, length
+    ):
+        """Sweeps drop only weights that read exactly 0.0, so the pruned
+        estimator answers like one that keeps every key forever.  Every
+        key is compared right after each sweep (when ``len`` drops) —
+        the moment a too-eager prune would show — and at the end."""
+        rng = random.Random(seed)
+        est, reference = EwmaFrequencyEstimator(alpha), UnprunedEwma(alpha)
+        held = 0
+        for step in range(length):
+            key = rng.randrange(domain)
+            est.observe(key)
+            reference.observe(key)
+            if len(est) < held or step == length - 1:
+                for probe in range(domain + 1):
+                    assert est.probability(probe) == reference.probability(probe)
+            held = len(est)
+        assert len(est) <= 2 * underflow_horizon(alpha) + 64
+
+    def test_state_is_bounded_on_an_unbounded_key_domain(self):
+        alpha = 0.05
+        horizon = underflow_horizon(alpha)
+        assert horizon == 14_527  # 0.95 ** n reads 0.0 from n = 14,527 on
+        est = EwmaFrequencyEstimator(alpha)
+        peak = 0
+        for key in range(200_000):
+            est.observe(key)
+            peak = max(peak, len(est))
+        assert peak <= 2 * horizon + 64
+        assert est.probability(0) == 0.0
+        assert est.probability(199_999) > 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(keys=st.lists(st.integers(0, 5), min_size=1, max_size=200))
@@ -208,46 +282,3 @@ class TestSpaceSaving:
             SpaceSaving(0)
         with pytest.raises(ValueError):
             SpaceSaving(3).heavy_hitters(2.0)
-
-
-class TestHistograms:
-    def test_equi_width_add_remove(self):
-        hist = EquiWidthHistogram(0, 10, buckets=5)
-        hist.add(1.0)
-        hist.add(1.5)
-        hist.add(9.0)
-        assert hist.total == 3
-        assert hist.probability(1.2) == pytest.approx(2 / 3)
-        hist.remove(1.0)
-        assert hist.probability(1.2) == pytest.approx(1 / 2)
-
-    def test_equi_width_clamps_out_of_range(self):
-        hist = EquiWidthHistogram(0, 10, buckets=5)
-        assert hist.bucket_of(-5) == 0
-        assert hist.bucket_of(50) == 4
-
-    def test_equi_width_remove_from_empty_rejected(self):
-        hist = EquiWidthHistogram(0, 10, buckets=2)
-        with pytest.raises(ValueError):
-            hist.remove(1.0)
-
-    def test_equi_width_validation(self):
-        with pytest.raises(ValueError):
-            EquiWidthHistogram(0, 10, buckets=0)
-        with pytest.raises(ValueError):
-            EquiWidthHistogram(5, 5, buckets=2)
-
-    def test_equi_depth_balanced_buckets(self):
-        data = list(range(100))
-        hist = EquiDepthHistogram(data, buckets=4)
-        assert sum(hist.counts()) == 100
-        assert max(hist.counts()) - min(hist.counts()) <= 1
-
-    def test_equi_depth_probability(self):
-        hist = EquiDepthHistogram([1, 2, 3, 4], buckets=2)
-        assert hist.probability(1) == pytest.approx(0.5)
-        assert hist.probability(100) == 0.0
-
-    def test_equi_depth_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EquiDepthHistogram([], buckets=2)
