@@ -3,16 +3,13 @@
 PYTHON ?= python
 SCALE ?= default
 
-.PHONY: install test bench bench-gate soak check ab figures clean
+.PHONY: install test bench-gate soak check ab figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Perf-regression gate: rebuild every committed BENCH_*.json snapshot
 # (engine, runtime, shard, chaos, batch, policy, obs, soak) and check
@@ -58,15 +55,25 @@ ab:
 		--workload $(WORKLOAD) --out "$(AB_OUT)-B.json" || exit $$?; \
 	$(PYTHON) benchmarks/harness/compare.py "$(AB_OUT)-A.json" -- "$(AB_OUT)-B.json"
 
-# Regenerate every figure/table via the CLI at the chosen scale.
+# Regenerate every registered figure, table and ablation through the CLI
+# at the chosen scale into benchmarks/results/<id>.txt, the committed
+# results (SCALE=default reproduces them byte for byte).  The lists must
+# match the generator registries; tests/test_paper_claims.py checks it.
+FIGURES := figure3 figure4 figure5 figure6 figure6_correlated figure7 figure8 figure9 figure10 figure11
+TABLES := variable_memory varying_memory static_join multiway_join arm_study slow_cpu multi_query variance_study flow_solver ablation_statistics ablation_predictor ablation_drift ablation_solver
+
 figures:
-	@for fig in figure3 figure4 figure5 figure6 figure7 figure8 figure9 figure10 figure11; do \
-		REPRO_SCALE=$(SCALE) $(PYTHON) -m repro figure $$fig; echo; \
+	@for id in $(FIGURES); do \
+		echo "figure $$id"; \
+		REPRO_SCALE=$(SCALE) PYTHONPATH=src $(PYTHON) -m repro figure $$id > benchmarks/results/$$id.txt || exit 1; \
 	done
-	@for tbl in variable_memory varying_memory static_join multiway_join arm_study slow_cpu multi_query; do \
-		REPRO_SCALE=$(SCALE) $(PYTHON) -m repro table $$tbl; echo; \
+	@for id in $(TABLES); do \
+		echo "table $$id"; \
+		REPRO_SCALE=$(SCALE) PYTHONPATH=src $(PYTHON) -m repro table $$id > benchmarks/results/$$id.txt || exit 1; \
 	done
 
+# Scratch outputs only: benchmarks/results/*.txt are committed.
 clean:
-	rm -rf benchmarks/results .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis
+	rm -f benchmarks/results/ab-*.json benchmarks/results/timeline.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

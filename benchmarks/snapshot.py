@@ -1,10 +1,10 @@
 """Write BENCH_engine.json: an engine-throughput snapshot at a fixed scale.
 
 Runs the fast-CPU engine once per policy on the ``ci``-scale workload
-(the same kernel ``bench_engine_throughput.py`` times under
-pytest-benchmark), records throughput with instrumentation disabled,
-repeats the run with a :class:`~repro.obs.MetricsRegistry` attached and
-again with a :class:`~repro.obs.Tracer` to measure both observability
+(a 2,000-tuple Zipf(1.0) pair, window 100, M = w/2), records throughput
+with instrumentation disabled, repeats the run with a
+:class:`~repro.obs.MetricsRegistry` attached and again with a
+:class:`~repro.obs.Tracer` to measure both observability
 overheads, and dumps everything — including a trimmed metrics snapshot
 of the PROB run — as one JSON document.
 

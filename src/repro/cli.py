@@ -577,12 +577,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print(f"unknown table {args.name!r}; choose from "
               f"{', '.join(sorted(generators))}", file=sys.stderr)
         return 2
-    generator = generators[args.name]
-    scale = _resolve_scale(args.scale)
-    if args.name == "multiway_join":  # scale-free tiny study
-        table = generator(seed=args.seed)
-    else:
-        table = generator(scale, seed=args.seed)
+    table = generators[args.name](_resolve_scale(args.scale), seed=args.seed)
     print(format_table(table))
     return 0
 

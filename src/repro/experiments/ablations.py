@@ -14,12 +14,11 @@ knobs the paper leaves implicit:
 * **distribution drift** — static tables cannot follow a shifting
   distribution; decayed statistics can.
 * **solver choice** — OPT via successive shortest paths vs. the
-  cost-scaling (CS2-family) solver: identical optima, different runtime.
+  cost-scaling (CS2-family) solver: identical optima.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -213,12 +212,13 @@ def drift_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData
 
 
 def solver_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData:
-    """OPT runtime and optimum under the two min-cost flow solvers.
+    """OPT's optimum under the two min-cost flow solvers.
 
     The instance is capped at a fixed small size regardless of scale:
-    the point is agreement plus a runtime data point, and the
-    cost-scaling solver's pure-Python constants are far larger than
-    SSP's (which is why SSP is the production default).
+    the point is agreement, and the cost-scaling solver's pure-Python
+    constants are far larger than SSP's (which is why SSP is the
+    production default).  The table holds no timings, so it is
+    reproducible byte for byte.
     """
     scale = scale or current_scale()
     window = min(max(scale.window // 2, 20), 30)
@@ -230,10 +230,8 @@ def solver_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableDat
     rows: list[list] = []
     reference = None
     for solver in ("ssp", "cost_scaling"):
-        start = time.perf_counter()
         result = solve_opt(pair, window, memory, solver=solver)
-        elapsed = time.perf_counter() - start
-        rows.append([solver, result.output_count, round(elapsed, 3)])
+        rows.append([solver, result.output_count])
         if reference is None:
             reference = result.output_count
         else:
@@ -242,14 +240,15 @@ def solver_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableDat
     return TableData(
         table_id="ablation_solver",
         title=f"OPT solver comparison, n={len(pair)}, w={window}, M={memory}",
-        columns=["solver", "OPT output", "seconds"],
+        columns=["solver", "OPT output"],
         rows=rows,
         params={"window": window, "memory": memory},
-        expectation="Identical optima; runtimes differ by constant factors.",
+        expectation="Identical optima.",
     )
 
 
-#: Every ablation generator keyed by id, for the benchmark driver.
+#: Every ablation generator keyed by id, for the CLI, ``make figures``
+#: and ``tests/test_paper_claims.py``.
 ABLATION_GENERATORS = {
     "ablation_statistics": statistics_ablation,
     "ablation_predictor": predictor_quality_ablation,

@@ -3,10 +3,11 @@
 Each ``figure*`` function reproduces one figure of Section 4 (or a
 result the paper reports in prose) and returns a structured
 :class:`FigureData` / :class:`TableData` holding exactly the rows/series
-the paper plots, plus the paper's qualitative expectation so benchmark
-output is self-describing.  Rendering is in
-:mod:`repro.experiments.reporting`; the benchmark suite prints every
-figure and asserts the expected shape.
+the paper plots, plus the paper's qualitative expectation so the
+rendered output is self-describing.  Rendering is in
+:mod:`repro.experiments.reporting`; ``make figures`` writes every
+registered figure and table to ``benchmarks/results/`` and
+``tests/test_paper_claims.py`` asserts their expected shape.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.metrics.archive import archive_metric
+from ..core.offline import build_schedule_network, extract_jobs, solve_opt
 from ..core.slowcpu import SlowCpuConfig, SlowCpuEngine
 from ..core.static_join import (
     extract_components,
@@ -45,6 +47,7 @@ from .config import (
     memory_sweep,
 )
 from .runner import estimators_for, run_algorithm, run_suite
+from .sweep import variance_study
 
 
 @dataclass
@@ -320,6 +323,17 @@ def figure6(
     )
 
 
+def figure6_correlated(scale: Optional[Scale] = None, *, seed: int = 0,
+                       workers: Optional[int] = None) -> FigureData:
+    """Figure 6 on correlated Zipf streams, at skews 0, 1 and 2.
+
+    The paper reports this variant in prose only ("results for
+    correlated Zipf distributions were almost identical").
+    """
+    return figure6(scale, seed=seed, correlation="correlated",
+                   skews=(0.0, 1.0, 2.0), workers=workers)
+
+
 # ----------------------------------------------------------------------
 # Figures 9-11: effect of domain size
 # ----------------------------------------------------------------------
@@ -589,12 +603,13 @@ def static_join_study(
     )
 
 
-def multiway_join_study(*, seed: int = 0) -> TableData:
+def multiway_join_study(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData:
     """3-relation shedding: m-approximation vs. exhaustive optimum.
 
     The problem is NP-hard (Theorem 1), so the instance is kept tiny
     enough for brute force; the approximation's loss must be within the
-    factor-3 guarantee.
+    factor-3 guarantee.  The instances do not depend on ``scale``, which
+    is accepted so every registered generator takes ``(scale, seed=)``.
     """
     import numpy as np
 
@@ -898,12 +913,49 @@ def multi_query_study(
     )
 
 
-#: Every figure generator keyed by figure id, for the benchmark driver.
+def flow_solver_study(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData:
+    """OPT-offline graph size and optimum vs. stream length (C1).
+
+    The paper capped OPT runs at 5600 tuples because CS2's runtime is
+    super-linear.  The compact formulation's R-pool network grows
+    linearly in the stream length, which this table records at 1x, 2x
+    and 4x a base length.  It records no solve time, so the rendering
+    is reproducible byte for byte.
+    """
+    scale = scale or current_scale()
+    base = max(scale.stream_length // 4, 200)
+    window = max(scale.window // 2, 20)
+    rows: list[list] = []
+    for factor in (1, 2, 4):
+        length = base * factor
+        pair = zipf_pair(length, DEFAULT_DOMAIN, 1.0, seed=seed)
+        r_jobs, _s_jobs, _ = extract_jobs(pair, window, count_from=2 * window)
+        schedule = build_schedule_network(r_jobs, length, window // 2)
+        result = solve_opt(pair, window, even_memory(window, 1.0))
+        rows.append([length, schedule.network.num_nodes,
+                     schedule.network.num_arcs, result.output_count])
+
+    return TableData(
+        table_id="flow_solver",
+        title=f"OPT-offline solve scaling, w={window}",
+        columns=["stream length", "nodes (R pool)", "arcs (R pool)", "OPT output"],
+        rows=rows,
+        params={"window": window},
+        expectation=(
+            "Nodes/arcs grow linearly with stream length, far below "
+            "the Theta(wN) graphs CS2 was run on."
+        ),
+    )
+
+
+#: Every figure generator keyed by figure id, for the CLI, ``make
+#: figures`` and ``tests/test_paper_claims.py``.
 FIGURE_GENERATORS = {
     "figure3": figure3,
     "figure4": figure4,
     "figure5": figure5,
     "figure6": figure6,
+    "figure6_correlated": figure6_correlated,
     "figure7": figure7,
     "figure8": figure8,
     "figure9": figure9,
@@ -920,4 +972,6 @@ TABLE_GENERATORS = {
     "multiway_join": multiway_join_study,
     "arm_study": arm_study,
     "slow_cpu": slow_cpu_study,
+    "variance_study": variance_study,
+    "flow_solver": flow_solver_study,
 }

@@ -132,6 +132,17 @@ class TestRefinement:
         assert produced | missing == expected
         assert len(day.pairs) + night.missing_count == exact.output_count
 
+    def test_night_repays_missing_output_on_figure3_workload(self):
+        """Figure 3's ci-scale workload (seed 1) with PROB at M = w/2."""
+        pair = zipf_pair(900, 50, 1.0, seed=1)
+        window = 60
+        day = run_algorithm(
+            "PROB", pair, window, 30, materialize=True, track_survival=True
+        )
+        night = refine_from_archive(pair, day)
+        assert day.output_count + night.missing_count == run_exact(pair, window).output_count
+        assert night.archive_reads >= night.missing_count > 0
+
     def test_exact_day_needs_no_refinement(self):
         pair = zipf_pair(200, 6, 1.0, seed=5)
         window = 12

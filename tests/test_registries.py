@@ -26,7 +26,7 @@ class TestAlgorithmRegistry:
 
 class TestFigureRegistry:
     def test_all_paper_figures_present(self):
-        expected = {f"figure{i}" for i in range(3, 12)}
+        expected = {f"figure{i}" for i in range(3, 12)} | {"figure6_correlated"}
         assert expected == set(FIGURE_GENERATORS)
 
     def test_table_registry_covers_prose_results_and_extensions(self):
@@ -38,6 +38,8 @@ class TestFigureRegistry:
             "multiway_join",
             "arm_study",
             "slow_cpu",
+            "variance_study",
+            "flow_solver",
         }
         assert expected == set(TABLE_GENERATORS)
 
