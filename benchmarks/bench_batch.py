@@ -1,21 +1,23 @@
 """Write BENCH_batch.json: columnar-batch throughput + identity check.
 
 Runs the EXACT workload of ``BENCH_engine.json`` (``ci`` scale: n=2000,
-w=100) two ways on the fast-CPU engine — per-tuple and through the
-columnar micro-batch lane (``batch_size`` set) — with the timings
-interleaved per round (see ``snapshot._interleaved_best``), and records:
+w=100) two ways on the fast-CPU engine — through the per-tuple fast
+loop (``JoinEngine._run_fast``, called directly: ``run()`` takes the
+lanes by default) and through the columnar micro-batch lane — with the
+timings interleaved per round (see ``snapshot._interleaved_best``), and
+records:
 
 * the per-tuple and batched throughputs plus their ratio (``speedup``),
   the number the regression gate holds to the ``>= 1.5x`` floor the
   batched lane exists to clear;
 * the part that gates strictly: whether every batched run reproduced
-  the per-tuple result **bit-identically** — output count, total
+  the fast loop's result **bit-identically** — output count, total
   output, drop ledger, survival departures, and metrics totals for
   EXACT across batch sizes; output/ledger for each shedding policy
   (RAND/PROB/LIFE take the vectorized lanes of
   ``repro.core.batched_policies`` — gated separately by
-  ``bench_policy_batch.py`` — while ARM still falls back to per-tuple,
-  and either route must be invisible); sharded EXACT with
+  ``bench_policy_batch.py`` — while ARM has no lane and runs the fast
+  loop, and either route must be invisible); sharded EXACT with
   ``batch_size`` set.
 
 The committed ``BENCH_batch.json`` at the repository root is the
@@ -33,8 +35,10 @@ import sys
 
 from snapshot import _interleaved_best  # sibling module
 
-from repro.api import RunSpec, build_pair, run
+from repro.api import RunSpec, _policy_for, build_pair, run
+from repro.core.engine import EngineConfig, JoinEngine
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
+from repro.obs import MetricsRegistry
 from repro.streams.batches import DEFAULT_BATCH_SIZE, HAVE_NUMPY
 
 SEED = 0
@@ -44,6 +48,27 @@ IDENTITY_BATCH_SIZES = (1, 7, 64, DEFAULT_BATCH_SIZE)
 #: static-table ones take the vectorized policy lanes (timed and floor-
 #: gated by ``bench_policy_batch.py``); ARM has no lane and falls back.
 SHEDDING_POLICIES = ("RAND", "PROB", "PROBV", "LIFE", "ARM")
+
+
+def run_fast(spec: RunSpec, pair):
+    """``spec`` over ``pair`` through the per-tuple fast loop.
+
+    ``run(spec)`` sends every lane-eligible run to its lane, so the
+    serial side of the speedup rows and of the identity checks calls
+    ``JoinEngine._run_fast`` directly, with the policy and the metrics
+    registry ``run()`` would build.
+    """
+    config = EngineConfig(
+        window=spec.window,
+        memory=spec.effective_memory,
+        variable=spec.variable,
+        warmup=spec.warmup,
+    )
+    registry = MetricsRegistry() if spec.metrics else None
+    engine = JoinEngine(
+        config, policy=_policy_for(spec, pair, None), metrics=registry
+    )
+    return engine._run_fast(pair, registry)
 
 
 def _comparable_metrics(snapshot):
@@ -90,10 +115,10 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
     pair = build_pair(spec())
 
     # -- throughput: per-tuple vs batched EXACT, interleaved ------------
-    run(spec(), pair=pair)  # warm up allocator/caches outside timing
+    run_fast(spec(), pair)  # warm up allocator/caches outside timing
     run(spec(batch_size=DEFAULT_BATCH_SIZE), pair=pair)
     best, results = _interleaved_best(repeats, {
-        "serial": lambda: run(spec(), pair=pair),
+        "serial": lambda: run_fast(spec(), pair),
         "batched": lambda: run(
             spec(batch_size=DEFAULT_BATCH_SIZE), pair=pair
         ),
@@ -117,7 +142,7 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
         )
 
     # -- identity sweep: EXACT across chunk sizes, with metrics --------
-    exact_metrics = run(spec(metrics=True), pair=pair)
+    exact_metrics = run_fast(spec(metrics=True), pair)
     for batch_size in IDENTITY_BATCH_SIZES:
         batched = run(spec(metrics=True, batch_size=batch_size), pair=pair)
         _check_identity(
@@ -127,7 +152,7 @@ def build_batch_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- policy identity: every shedding policy, two chunk sizes -------
     for name in SHEDDING_POLICIES:
-        policy_baseline = run(spec(name), pair=pair)
+        policy_baseline = run_fast(spec(name), pair)
         for batch_size in (7, DEFAULT_BATCH_SIZE):
             batched = run(spec(name, batch_size=batch_size), pair=pair)
             _check_identity(

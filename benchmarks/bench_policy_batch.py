@@ -3,10 +3,12 @@
 The columnar micro-batch path now covers the shedding policies: RAND,
 PROB, and LIFE runs with static probability tables take vectorized
 chunk lanes (``repro.core.batched_policies``) instead of the per-tuple
-hot loop.  This benchmark times the three policies both ways on the
-``ci``-scale workload of ``BENCH_engine.json`` (n=2000, w=100), with
-the timings interleaved per round (see ``snapshot._interleaved_best``),
-and records:
+hot loop, and ``run()`` takes them by default.  This benchmark times
+the three policies both ways on the ``ci``-scale workload of
+``BENCH_engine.json`` (n=2000, w=100) — the lane against the per-tuple
+fast loop ``JoinEngine._run_fast``, called directly through
+``bench_batch.run_fast`` — with the timings interleaved per round (see
+``snapshot._interleaved_best``), and records:
 
 * per-policy per-tuple and batched throughputs plus their ratio — the
   regression gate holds PROB and LIFE to the ``>= 2.0x`` floor the
@@ -14,7 +16,7 @@ and records:
   recorded but not gated, the fixed floor keeps the gate independent
   of how silly-fast the trivial policy gets);
 * the part that gates strictly: whether every batched run reproduced
-  the per-tuple result **bit-identically** — output count, total
+  the fast loop's result **bit-identically** — output count, total
   output, drop ledger, survival departures, and metrics totals —
   across RAND/PROB/LIFE, both allocation modes (PROBV/LIFEV/RANDV),
   batch sizes {1, 7, 64, whole}, and sharded runs (shards don't take
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import sys
 
-from bench_batch import _check_identity  # sibling module
+from bench_batch import _check_identity, run_fast  # sibling module
 from snapshot import _interleaved_best  # sibling module
 
 from repro.api import RunSpec, build_pair, run
@@ -71,10 +73,10 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- throughput: per-tuple vs batched, interleaved per policy ------
     for name in TIMED_POLICIES:
-        run(spec(name), pair=pair)  # warm up outside the timed rounds
+        run_fast(spec(name), pair)  # warm up outside the timed rounds
         run(spec(name, batch_size=DEFAULT_BATCH_SIZE), pair=pair)
         best, results = _interleaved_best(repeats, {
-            "serial": lambda: run(spec(name), pair=pair),
+            "serial": lambda: run_fast(spec(name), pair),
             "batched": lambda: run(
                 spec(name, batch_size=DEFAULT_BATCH_SIZE), pair=pair
             ),
@@ -100,7 +102,7 @@ def build_policy_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     # -- identity sweep: all lanes x chunk sizes, metrics + survival ---
     for name in IDENTITY_POLICIES:
-        baseline = run(spec(name, metrics=True), pair=pair)
+        baseline = run_fast(spec(name, metrics=True), pair)
         for batch_size in IDENTITY_BATCH_SIZES:
             batched = run(spec(name, metrics=True, batch_size=batch_size), pair=pair)
             label = f"{name} batch={batch_size}"

@@ -9,18 +9,19 @@ overheads, and dumps everything — including a trimmed metrics snapshot
 of the PROB run — as one JSON document.
 
 Overheads are same-lane comparisons: the metrics overhead compares two
-fast-loop runs, and the trace overhead compares the traced run against
+default-path runs (both take the columnar lane, or both the fast loop
+for ARM), and the trace overhead compares the traced run against
 an untraced run *forced onto the same kernel-driven tick loop*
-(``force_general=True``) — a tracer disables the fast loop, so
-comparing against the fast-loop time would report the lane difference
-(hundreds of percent) rather than the cost of tracing.
+(``force_general=True``) — a tracer disables the lanes and the fast
+loop, so comparing against the default path's time would report the
+lane difference (hundreds of percent) rather than the cost of tracing.
 
-Since the source refactor, ``run(pair)`` is
-``run_stream(PairSource(pair))`` routed to the historical fast-path
-loops, so these timings measure the source-era hot path and stay
-comparable with pre-refactor baselines.  Before each policy is timed,
-the snapshot asserts that the *incremental* lane (the one unbounded
-sources take) reproduces the fast path bit-for-bit on the same
+``run(pair)`` is ``run_stream(PairSource(pair))``, and it takes the
+columnar lanes by default (ARM runs the per-tuple fast loop), so the
+kt/s rows read several times their pre-lane baselines and a drop row
+can only fail on a real slowdown.  Before each policy is timed, the
+snapshot asserts that the *incremental* source path (the one unbounded
+sources take) reproduces the kernel loop bit-for-bit on the same
 workload — output, total, and drop ledger.
 
 The committed ``BENCH_engine.json`` at the repository root is the
@@ -91,16 +92,15 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
 
     policies = []
     for name in POLICIES:
-        # The timed lane is run(pair) — since the source refactor that
-        # is run_stream(PairSource(pair)) routed to the same fast-path
-        # loops, so the committed baselines stay comparable.  Before
-        # timing, pin the *incremental* lane (forced with until=) to
-        # the fast path's result on this exact workload: the streaming
-        # identity contract, asserted where a divergence would silently
-        # skew the numbers being committed.  These two runs double as
-        # the allocator/cache warmup outside the timed rounds.
+        # The timed lane is run(pair), the default path.  Before
+        # timing, pin the *incremental* source path (forced with until=)
+        # to the kernel loop's result on this exact workload: the
+        # streaming identity contract, asserted where a divergence would
+        # silently skew the numbers being committed.  These two runs
+        # double as the allocator/cache warmup outside the timed rounds.
         reference = run_algorithm(
-            name, pair, window, memory, estimators=estimators, seed=seed
+            name, pair, window, memory, estimators=estimators, seed=seed,
+            force_general=True,
         )
         incremental = run_algorithm(
             name, pair, window, memory, estimators=estimators, seed=seed,
@@ -112,8 +112,8 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
             or dict(incremental.drop_counts) != dict(reference.drop_counts)
         ):
             raise AssertionError(
-                f"{name}: incremental source path diverged from the pair "
-                f"fast path (output {incremental.output_count} vs "
+                f"{name}: incremental source path diverged from the "
+                f"kernel loop (output {incremental.output_count} vs "
                 f"{reference.output_count}, total "
                 f"{incremental.total_output_count} vs "
                 f"{reference.total_output_count}, drops "
@@ -130,7 +130,7 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
                 estimators=estimators, seed=seed, metrics=MetricsRegistry(),
             ),
             # A tracer forces the kernel tick loop, so comparing a
-            # traced run against the *fast-loop* "plain" leg measures
+            # traced run against the default-path "plain" leg measures
             # lane difference, not tracing cost (it reported +370% for
             # EXACT).  Pin the trace comparison to the same execution
             # lane: an untraced run forced onto the kernel loop.

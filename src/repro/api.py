@@ -91,17 +91,19 @@ class RunSpec:
     bounded ring buffer of ``trace_capacity`` events.  Both default off
     and cost nothing when off (the engines collapse them to ``None``).
 
-    ``batch_size=N`` (fast engine only) enables the columnar micro-batch
-    fast path: the workload is encoded into struct-of-arrays chunks and
-    eligible runs execute chunk-at-a-time — EXACT via count arithmetic,
-    and RAND/PROB/LIFE with static probability tables via the vectorized
-    policy lanes (``repro.core.batched_policies``).  The batcher is
+    ``batch_size=N`` (fast engine only) sets the chunk size of the
+    columnar micro-batch lanes, which the fast engine takes by default
+    (``None`` means ``repro.streams.batches.DEFAULT_BATCH_SIZE``, 1024):
+    the workload is encoded into struct-of-arrays chunks and eligible
+    runs execute chunk-at-a-time — EXACT via count arithmetic, and
+    RAND/PROB/LIFE with static probability tables via the vectorized
+    policy lanes (``repro.core.batched_policies``).  The dispatch is
     adaptive: any option that needs tuple granularity (``trace=True``,
-    ARM/FIFO or estimator-updating policies, schedules) falls back to
-    the per-tuple path, and results are bit-identical either way —
-    output, drop ledger, survival, and metrics.  Sharded runs batch
-    natively per tick regardless of this knob (see
-    ``docs/architecture.md``, "Batched execution").
+    ARM/FIFO or estimator-updating policies, schedules) takes a
+    per-tuple loop, and results are bit-identical either way — output,
+    drop ledger, survival, and metrics.  Sharded runs batch natively per
+    tick regardless of this knob (see ``docs/architecture.md``,
+    "Batched execution").
 
     ``shards=N`` (fast engine only) hash-partitions the key domain into
     ``N`` independent sub-joins executed via

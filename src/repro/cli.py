@@ -182,10 +182,10 @@ def _add_workload_arguments(
     parser.add_argument(
         "--batch-size", type=int, default=None, dest="batch_size",
         help="columnar micro-batch chunk size for the fast engine "
-             "(EXACT takes the count-only lane; RAND/PROB/LIFE with "
-             "static tables take the vectorized policy lanes; "
-             "configurations needing tuple granularity fall back, "
-             "results identical)",
+             "(default 1024; EXACT takes the count-only lane and "
+             "RAND/PROB/LIFE with static tables the vectorized policy "
+             "lanes by default; configurations needing tuple "
+             "granularity run per tuple, results identical)",
     )
     if metrics:
         parser.add_argument(
@@ -880,9 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--batch-size", type=int, default=None, dest="batch_size",
-        help="chunk unit-rate sources into columnar micro-batches "
-             "(EXACT and static RAND/PROB/LIFE take the vectorized "
-             "lanes; memory stays bounded, results identical)",
+        help="chunk size of the columnar micro-batches a unit-rate "
+             "source is cut into (default 1024; EXACT and static "
+             "RAND/PROB/LIFE take the lanes by default; memory stays "
+             "bounded, results identical)",
     )
     serve_parser.add_argument(
         "--estimator",

@@ -60,7 +60,13 @@ allocation modes):
 * LIFE only ever removes a key's oldest resident (evictions pick it,
   expiry removes the globally oldest, which is also its key's oldest),
   so a per-key arrival deque popped from the left mirrors the memory's
-  per-key FIFO exactly.
+  per-key FIFO exactly;
+* every lane books each expiry, eviction and rejection in the tick it
+  happens (expiry pops the arrival at ``t - window``; PROB's lazy heap
+  defers only the deletion of stale heap entries, never their
+  booking), so the running totals at a chunk's end equal the per-tuple
+  loop's after that chunk's last tick.  The optional ``on_chunk(totals)``
+  hook receives them; the engine's rolling summaries are built from it.
 
 Lanes are *gated*, not general: :func:`lane_kind_for_policies` accepts
 only exact policy types in their static configuration (RAND with the
@@ -280,6 +286,7 @@ def rand_chunk_run(
     s_departures: Optional[list] = None,
     sampler: Optional[Callable] = None,
     sample_every: int = 0,
+    on_chunk: Optional[Callable[[LaneTotals], None]] = None,
 ) -> LaneTotals:
     """RAND over columnar chunks, bit-identical to the per-tuple run.
 
@@ -455,6 +462,12 @@ def rand_chunk_run(
             if sample_every and not t % sample_every:
                 sampler(t, len(r_slots), len(s_slots))
         length = base + chunk.length
+        if on_chunk is not None:
+            on_chunk(LaneTotals(
+                output, total_output, simultaneous_total, length,
+                rej_r, rej_s, ev_r, ev_s, exp_r, exp_s,
+                len(r_slots), len(s_slots),
+            ))
 
     return LaneTotals(
         output, total_output, simultaneous_total, length,
@@ -506,6 +519,7 @@ def prob_chunk_run(
     s_departures: Optional[list] = None,
     sampler: Optional[Callable] = None,
     sample_every: int = 0,
+    on_chunk: Optional[Callable[[LaneTotals], None]] = None,
 ) -> LaneTotals:
     """PROB over columnar chunks, bit-identical to the per-tuple run.
 
@@ -684,6 +698,11 @@ def prob_chunk_run(
             if sample_every and not t % sample_every:
                 sampler(t, r_len, s_len)
         length = base + chunk.length
+        if on_chunk is not None:
+            on_chunk(LaneTotals(
+                output, total_output, simultaneous_total, length,
+                rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, r_len, s_len,
+            ))
 
     return LaneTotals(
         output, total_output, simultaneous_total, length,
@@ -709,6 +728,7 @@ def life_chunk_run(
     s_departures: Optional[list] = None,
     sampler: Optional[Callable] = None,
     sample_every: int = 0,
+    on_chunk: Optional[Callable[[LaneTotals], None]] = None,
 ) -> LaneTotals:
     """LIFE over columnar chunks, bit-identical to the per-tuple run.
 
@@ -904,6 +924,11 @@ def life_chunk_run(
             if sample_every and not t % sample_every:
                 sampler(t, r_len, s_len)
         length = base + chunk.length
+        if on_chunk is not None:
+            on_chunk(LaneTotals(
+                output, total_output, simultaneous_total, length,
+                rej_r, rej_s, ev_r, ev_s, exp_r, exp_s, r_len, s_len,
+            ))
 
     return LaneTotals(
         output, total_output, simultaneous_total, length,

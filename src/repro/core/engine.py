@@ -37,6 +37,12 @@ from ..obs.trace import (
     TraceEvent,
     tracing_or_none,
 )
+from ..streams.batches import (
+    DEFAULT_BATCH_SIZE,
+    StreamChunk,
+    _encode_column,
+    encode_chunks,
+)
 from ..streams.sources import PairSource, Source, as_source, bounded_events
 from ..streams.tuples import JoinResultTuple, StreamPair
 from .kernel import JoinKernel
@@ -59,6 +65,15 @@ PolicySpec = Union[None, EvictionPolicy, SidePolicies]
 
 class CapacityExceededError(RuntimeError):
     """Raised when a policy-less (exact) run overflows its memory."""
+
+
+def _lane_ledger(totals) -> dict:
+    """The per-side drop ledger of a policy lane's running totals."""
+    return side_drop_counts(
+        rejected=(totals.rej_r, totals.rej_s),
+        evicted=(totals.ev_r, totals.ev_s),
+        expired=(totals.exp_r, totals.exp_s),
+    )
 
 
 def _as_schedule(schedule):
@@ -119,21 +134,26 @@ class EngineConfig:
         counters once at the end of the run, keeping the instrumented
         run within a few percent of the uninstrumented one.
     batch_size:
-        Enable the columnar micro-batch fast path with this chunk size
-        (``None``, the default, keeps the per-tuple loops).  Batching is
-        *adaptive*: it engages only for configurations it can reproduce
-        bit-identically at chunk granularity — the EXACT count-only
-        lane (no policy, lossless budget) and the vectorized policy
-        lanes for RAND, PROB, and LIFE with static probability tables
-        (fixed or variable allocation) — and silently falls back to the
-        per-tuple loops whenever a tracer, schedule, validation hook,
-        arrival observer (online estimators), or an uncovered policy
-        (ARM, FIFO) needs tuple granularity.  Results are bit-identical
-        either way.
+        Chunk size of the columnar micro-batch lanes; ``None``, the
+        default, means :data:`~repro.streams.batches.DEFAULT_BATCH_SIZE`.
+        The lanes are the default path of every configuration they
+        reproduce bit-identically at chunk granularity — the EXACT
+        count-only lane (no policy, lossless budget) and the vectorized
+        policy lanes for RAND, PROB, and LIFE with static probability
+        tables (fixed or variable allocation), over a pair or a
+        unit-rate source.  Everything else takes a per-tuple loop: a
+        tracer, schedule, ``materialize``, ``track_shares``, validation
+        hook, or ``force_general`` sends a run to the kernel loop; an
+        uncovered policy (ARM, FIFO) or live estimators take the fast
+        loop on a pair and the kernel loop on a source; a policy-less
+        pair run below ``2 * window`` takes the fast loop (a policy-less
+        source run always takes the streaming count lane).  Results are
+        bit-identical either way; the chunk size changes only the speed.
     force_general:
-        Route a pair run through the kernel-driven tick loop even when
-        the fast loop would apply (benchmarking only: lets overhead
-        comparisons pin both sides to the same execution lane).
+        Route a run through the kernel-driven tick loop even when a lane
+        or the fast loop would apply, on the pair and the source path
+        alike (tests and benchmarks: the kernel loop is the reference
+        the lanes are pinned to).
     validate:
         Run per-tick invariant checks (tests only; slow).
     """
@@ -336,14 +356,14 @@ class JoinEngine:
         ``track_shares``, schedules) are unsupported here — they hold
         per-arrival state, which an unbounded stream forbids.
 
-        A unit-rate source reaches a columnar lane only when
-        ``config.batch_size`` is set and no ``emit``, ``on_summary``,
-        metrics, tracer or ``validate`` is active (``stop`` is fine);
-        the policy lanes also need frozen static tables, so live
-        estimators take the kernel loop.  That is why RAND, which needs
-        no estimator, still runs per tick under ``repro serve`` — it
-        always passes ``on_summary`` (and ``stop``) — and on a source
-        run without ``batch_size``.
+        A unit-rate source reaches a columnar lane unless ``emit``,
+        metrics, a tracer, ``validate`` or ``force_general`` is active;
+        ``stop`` and ``on_summary`` are fine (chunks are cut at every
+        ``on_summary_every`` boundary, so each summary equals the kernel
+        loop's at the same tick).  The policy lanes also need frozen
+        static tables, so live estimators take the kernel loop.  Chunks
+        hold ``config.batch_size`` ticks (:data:`DEFAULT_BATCH_SIZE`
+        when unset).
         """
         source = as_source(source)
         if until is not None and until < 0:
@@ -391,25 +411,22 @@ class JoinEngine:
             and tracer is None
             and emit is None
             and not config.validate
-            and self._policy_r is None
-            and self._policy_s is None
-            and not self._observers
+            and not config.force_general
         ):
-            return self._run_exact_stream(source, until, stop, on_summary, stride)
-        if (
-            obs is None
-            and tracer is None
-            and emit is None
-            and on_summary is None
-            and not config.validate
-            and config.batch_size is not None
-            and getattr(source, "unit_rate", False)
-        ):
+            if (
+                self._policy_r is None
+                and self._policy_s is None
+                and not self._observers
+            ):
+                return self._run_exact_stream(source, until, stop, on_summary, stride)
             kind = self._policy_lane_kind()
-            if kind is not None:
+            if kind is not None and getattr(source, "unit_rate", False):
+                cut_every = stride if on_summary is not None else None
                 return self._run_policy_batched(
-                    self._chunks_from_source(source, until, stop, config.batch_size),
+                    self._chunks_from_source(source, until, stop, cut_every),
                     kind,
+                    on_summary=on_summary,
+                    stride=cut_every,
                 )
         return self._run_kernel(
             source,
@@ -426,24 +443,23 @@ class JoinEngine:
     def _run_pair(self, pair: StreamPair) -> RunResult:
         """The materialized pair path (see :meth:`run`).
 
-        Dispatches to one of two loops with identical semantics (a
-        regression test pins them to each other):
+        Dispatches to one of three paths with identical semantics
+        (``tests/test_lane_dispatch.py`` pins which run reaches which,
+        and the lanes to the kernel loop):
 
-        * the *fast loop* (:meth:`_run_fast`) — the throughput path,
-          with probes and admissions inlined, counters batched into
-          plain ints, and (if a metrics registry is attached)
-          instrumentation reduced to end-of-run flushes plus sampled
-          occupancy series;
+        * the *columnar lanes* — :meth:`_run_exact_batched` for
+          policy-less lossless runs, :meth:`_run_policy_batched` for
+          RAND/PROB/LIFE with static probability tables — the default
+          for every run they cover;
+        * the *fast loop* (:meth:`_run_fast`) — the per-tuple throughput
+          path for what no lane covers: ARM, FIFO, live estimators and
+          policy-less runs below ``2 * window``;
         * the *kernel loop* (:meth:`_run_kernel`, the same loop the
           source path runs) — tracing, time-varying budgets/windows,
-          result materialisation, share tracking, and per-tick
-          invariant checks all run here.
+          result materialisation, share tracking, per-tick invariant
+          checks and ``force_general`` all run here.
 
-        With ``config.batch_size`` set, eligible configurations take the
-        *columnar batched lanes* instead (:meth:`_run_exact_batched` for
-        policy-less lossless runs, :meth:`_run_policy_batched` for
-        RAND/PROB/LIFE with static probability tables); see
-        :attr:`EngineConfig.batch_size` for the fallback matrix.
+        See :attr:`EngineConfig.batch_size` for the fallback matrix.
         """
         config = self.config
         obs = active_or_none(self.metrics)
@@ -457,24 +473,21 @@ class JoinEngine:
             and not config.validate
             and not config.force_general
         ):
-            if config.batch_size is not None:
-                if (
-                    self._policy_r is None
-                    and self._policy_s is None
-                    and not self._observers
-                    and self.memory.capacity >= 2 * config.window
-                ):
-                    return self._run_exact_batched(pair, obs)
-                kind = self._policy_lane_kind()
-                if kind is not None:
-                    from ..streams.batches import encode_chunks
-
-                    return self._run_policy_batched(
-                        encode_chunks(pair, config.batch_size),
-                        kind,
-                        length=len(pair),
-                        obs=obs,
-                    )
+            if (
+                self._policy_r is None
+                and self._policy_s is None
+                and not self._observers
+                and self.memory.capacity >= 2 * config.window
+            ):
+                return self._run_exact_batched(pair, obs)
+            kind = self._policy_lane_kind()
+            if kind is not None:
+                return self._run_policy_batched(
+                    encode_chunks(pair, config.batch_size),
+                    kind,
+                    length=len(pair),
+                    obs=obs,
+                )
             return self._run_fast(pair, obs)
         return self._run_kernel(PairSource(pair), obs, tracer, pair_length=len(pair))
 
@@ -691,7 +704,6 @@ class JoinEngine:
         are synthesised in closed form and match the per-tuple loop
         bit for bit.
         """
-        from ..streams.batches import encode_chunks
         from .batched import exact_chunk_counts
 
         config = self.config
@@ -759,7 +771,14 @@ class JoinEngine:
 
     # ------------------------------------------------------------------
     def _run_policy_batched(
-        self, chunks, kind: str, *, length: Optional[int] = None, obs=None
+        self,
+        chunks,
+        kind: str,
+        *,
+        length: Optional[int] = None,
+        obs=None,
+        on_summary=None,
+        stride: Optional[int] = None,
     ) -> RunResult:
         """The columnar policy lanes (see :meth:`run` and :meth:`run_stream`).
 
@@ -769,15 +788,18 @@ class JoinEngine:
         no policy method dispatch — fed the policies' own state: RAND's
         generators, PROB/LIFE's static partner-probability tables (see
         :mod:`repro.core.batched_policies`).  Output, drop ledger,
-        survival departures, and metrics are bit-identical to
-        :meth:`_run_fast`; ``benchmarks/bench_policy_batch.py`` pins the
-        contract.
+        survival departures, and metrics are bit-identical to the
+        per-tuple loops; ``benchmarks/bench_policy_batch.py`` and
+        ``tests/test_lane_dispatch.py`` pin the contract.
 
         ``chunks`` is ``encode_chunks(pair, …)`` on the pair path, which
         passes the pair's ``length`` (survival records) and its metrics
         registry ``obs`` (occupancy sampling), or
         :meth:`_chunks_from_source` for a unit-rate source, whose
-        working state stays ``O(window + batch_size)``.
+        working state stays ``O(window + batch_size)``.  A source run
+        with ``on_summary`` cuts its chunks at every ``stride`` ticks
+        too, and each chunk ending on such a boundary yields the same
+        :class:`RunSummary` the kernel loop emits after that tick.
         """
         from .batched import life_chunk_run, prob_chunk_run, rand_chunk_run
 
@@ -800,6 +822,19 @@ class JoinEngine:
             run_timer.start()
             sampler, sample_every = self._occupancy_sampler(obs)
 
+        on_chunk = None
+        if on_summary is not None:
+            policy_name = self.policy_name
+
+            def on_chunk(totals):
+                if totals.length % stride == 0:
+                    on_summary(RunSummary(
+                        engine="fast",
+                        policy_name=policy_name,
+                        output_count=totals.output,
+                        drops=DropBreakdown.from_side_counts(_lane_ledger(totals)),
+                    ))
+
         common = dict(
             capacity=memory.capacity,
             variable=memory.variable,
@@ -808,6 +843,7 @@ class JoinEngine:
             s_departures=s_departures,
             sampler=sampler,
             sample_every=sample_every,
+            on_chunk=on_chunk,
         )
         if kind == "rand":
             totals = rand_chunk_run(
@@ -831,11 +867,7 @@ class JoinEngine:
                 **common,
             )
 
-        drop_counts = side_drop_counts(
-            rejected=(totals.rej_r, totals.rej_s),
-            evicted=(totals.ev_r, totals.ev_s),
-            expired=(totals.exp_r, totals.exp_s),
-        )
+        drop_counts = _lane_ledger(totals)
         snapshot = None
         if obs is not None:
             snapshot = self._finish_metrics(
@@ -849,22 +881,27 @@ class JoinEngine:
         )
 
     # ------------------------------------------------------------------
-    def _chunks_from_source(self, source, until, stop, batch_size):
+    def _chunks_from_source(self, source, until, stop, cut_every=None):
         """Re-chunk a unit-rate source into :class:`StreamChunk` columns.
 
         Bounds the ticks by ``until``/``stop`` exactly as
-        :meth:`_run_kernel` does and emits a chunk every ``batch_size``
-        ticks plus the remainder.
+        :meth:`_run_kernel` does and emits a chunk every
+        ``config.batch_size`` ticks (:data:`DEFAULT_BATCH_SIZE` when
+        unset), at every multiple of ``cut_every`` (the rolling-summary
+        stride), and at the end.  A chunk is yielded as soon as its last
+        tick is pulled, so ``stop`` is polled at the same ticks, between
+        the same summaries, as in the kernel loop.
         """
-        from ..streams.batches import StreamChunk, _encode_column
-
+        batch_size = self.config.batch_size or DEFAULT_BATCH_SIZE
         buf_r: list = []
         buf_s: list = []
         start = 0
         for r_batch, s_batch in bounded_events(iter(source), until, stop):
             buf_r.append(r_batch[0])
             buf_s.append(s_batch[0])
-            if len(buf_r) >= batch_size:
+            if len(buf_r) >= batch_size or (
+                cut_every and not (start + len(buf_r)) % cut_every
+            ):
                 yield StreamChunk(start, _encode_column(buf_r), _encode_column(buf_s))
                 start += len(buf_r)
                 buf_r = []

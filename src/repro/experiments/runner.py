@@ -120,11 +120,13 @@ def run_algorithm(
     against the pair fast path.  OPT/OPTV are offline solves over the
     full materialized pair and reject ``source``.
 
-    ``batch_size`` enables the engines' columnar micro-batch lanes for
-    eligible configurations (see
+    ``batch_size`` sets the chunk size of the engines' columnar
+    micro-batch lanes, which eligible configurations take by default
+    (``None`` means the default chunk size; see
     :attr:`~repro.core.engine.EngineConfig.batch_size`);
-    ``force_general`` pins the run to the kernel-driven tick loop, which
-    lets benchmarks compare instrumented and plain runs on the same
+    ``force_general`` pins the run to the kernel-driven tick loop, on
+    the pair and the source path alike, which lets tests pin the lanes
+    to it and benchmarks compare instrumented and plain runs on the same
     execution lane.  Both are ignored by OPT/OPTV.
     """
     if until is not None and source is None:

@@ -3,8 +3,10 @@
 Covers the batch encoder (``repro.streams.batches``), the count-only
 EXACT lanes (``repro.core.batched``), the kernel/memory batch
 operations, and — most importantly — the identity guarantee: a batched
-run must be bit-identical to the per-tuple run (output, drop ledger,
-metrics totals) for every policy, batch size, and shard count.
+run must be bit-identical to the per-tuple kernel loop (output, drop
+ledger, metrics totals) for every policy, batch size, and shard count.
+``run()`` takes the lanes by default, so the per-tuple side is pinned
+with ``force_general`` (``tests/loops.py``).
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.streams.batches import (
     resolve_batch_size,
 )
 from repro.streams.tuples import StreamPair
+from tests.loops import kernel_run
 
 SMALL = dict(window=20, memory=10, length=400, seed=3)
 
@@ -310,12 +313,12 @@ POLICIES = ("EXACT", "RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV", "ARM")
 
 
 class TestBatchedIdentity:
-    """Batched output is bit-identical to per-tuple for every policy."""
+    """Batched output is bit-identical to the kernel loop for every policy."""
 
     @pytest.mark.parametrize("algorithm", POLICIES)
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_unsharded_identity(self, algorithm, batch_size):
-        baseline = run(small_spec(algorithm, metrics=True))
+        baseline = kernel_run(small_spec(algorithm, metrics=True))
         batched = run(small_spec(algorithm, metrics=True, batch_size=batch_size))
         assert batched.output_count == baseline.output_count
         assert batched.total_output_count == baseline.total_output_count
@@ -335,14 +338,14 @@ class TestBatchedIdentity:
         assert batched.drop_counts == baseline.drop_counts
 
     def test_exact_departures_and_survival_identity(self):
-        baseline = run(small_spec("EXACT"))
+        baseline = kernel_run(small_spec("EXACT"))
         batched = run(small_spec("EXACT", batch_size=32))
         assert batched.r_departures == baseline.r_departures
         assert batched.s_departures == baseline.s_departures
 
     @pytest.mark.parametrize("seed", (0, 1, 2, 11, 42))
     def test_exact_seed_sweep(self, seed):
-        baseline = run(small_spec("EXACT", seed=seed))
+        baseline = kernel_run(small_spec("EXACT", seed=seed))
         for batch_size in BATCH_SIZES:
             batched = run(small_spec("EXACT", seed=seed, batch_size=batch_size))
             assert batched.output_count == baseline.output_count

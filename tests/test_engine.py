@@ -225,11 +225,12 @@ class TestAccountingDetails:
 
 
 class TestFastLoopDispatch:
-    """The inlined fast loop must be observationally identical to the
-    fully-featured general loop — same outputs, drops, and survival
-    records — with or without a metrics registry attached."""
+    """The default path — the columnar lanes for RAND/PROB/LIFE, the
+    inlined fast loop for ARM and FIFO — must be observationally
+    identical to the fully-featured general loop — same outputs, drops,
+    and survival records — with or without a metrics registry attached."""
 
-    ALGORITHMS = ("RAND", "PROB", "PROBV", "LIFE")
+    ALGORITHMS = ("RAND", "PROB", "PROBV", "LIFE", "ARM", "FIFO")
 
     def _run(self, name, pair, **kwargs):
         return run_algorithm(name, pair, 25, 12, seed=3, **kwargs)

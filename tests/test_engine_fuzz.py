@@ -31,33 +31,30 @@ def ledger(result):
 
 
 def path_outputs(name, pair, window, memory, estimators=None):
-    """Output and drop ledger of every loop a pair can reach: the fast
-    loop, the kernel loop (``materialize`` forces it), the incremental
-    source path, and the columnar lanes over the pair and over the
-    re-chunked source."""
-    fast = run_algorithm(name, pair, window, memory, estimators=estimators)
-    kernel = run_algorithm(
-        name, pair, window, memory, estimators=estimators, materialize=True
-    )
-    source = run_algorithm(
-        name, pair, window, memory, estimators=estimators,
-        source=PairSource(pair), until=len(pair),
-    )
-    batch = run_algorithm(
-        name, pair, window, memory, estimators=estimators, batch_size=7
-    )
-    batch_source = run_algorithm(
-        name, pair, window, memory, estimators=estimators,
-        source=PairSource(pair), until=len(pair), batch_size=7,
-    )
-    assert len(kernel.pairs) == kernel.output_count
-    return {
-        "fast": ledger(fast),
-        "kernel": ledger(kernel),
-        "source": ledger(source),
-        "batch": ledger(batch),
-        "batch_source": ledger(batch_source),
+    """Output and drop ledger of every loop a pair can reach: the
+    default path (a columnar lane for every wiring the fuzzers draw),
+    the lanes at chunk size 7, the kernel loop (``force_general`` pins
+    it; ``materialize`` forces it and lists the pairs), and the same
+    three over the incremental source path."""
+    def run(**extra):
+        return run_algorithm(
+            name, pair, window, memory, estimators=estimators, **extra
+        )
+
+    def run_source(**extra):
+        return run(source=PairSource(pair), until=len(pair), **extra)
+
+    runs = {
+        "default": run(),
+        "batch": run(batch_size=7),
+        "kernel": run(force_general=True),
+        "materialize": run(materialize=True),
+        "source": run_source(),
+        "batch_source": run_source(batch_size=7),
+        "kernel_source": run_source(force_general=True),
     }
+    assert len(runs["materialize"].pairs) == runs["materialize"].output_count
+    return {path: ledger(result) for path, result in runs.items()}
 
 
 @settings(max_examples=30, deadline=None)

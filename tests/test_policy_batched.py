@@ -3,8 +3,10 @@
 Three contracts:
 
 * **identity** — a batched RAND/PROB/LIFE run reproduces the per-tuple
-  run bit-for-bit (output, total, drop ledger, survival departures,
-  metrics totals) across batch sizes and both allocation modes; the
+  kernel loop bit-for-bit (output, total, drop ledger, survival
+  departures, metrics totals) across batch sizes and both allocation
+  modes (``run()`` takes the lanes by default, so the kernel side is
+  pinned with ``force_general``, see ``tests/loops.py``); the
   exhaustive pair-path sweep lives in ``test_batched.py``, this module
   adds the streaming-source side (``run_stream`` chunking) and the
   fallback boundaries;
@@ -34,6 +36,7 @@ from repro.core.policies import (
 from repro.stats import EwmaFrequencyEstimator
 from repro.stats.frequency import StaticFrequencyTable
 from repro.streams.sources import DriftingZipfSource, ZipfSource
+from tests.loops import kernel_run
 
 SMALL = dict(window=20, memory=10, length=400, seed=3)
 LANE_POLICIES = ("RAND", "RANDV", "PROB", "PROBV", "LIFE", "LIFEV")
@@ -135,7 +138,7 @@ class TestStreamingPolicyLanes:
     @pytest.mark.parametrize("batch_size", (7, 64))
     def test_zipf_source_matches_incremental(self, algorithm, batch_size, monkeypatch):
         source = ZipfSource(30, 1.0, seed=11, length=1200)
-        baseline = run(self._source_spec(algorithm, source))
+        baseline = kernel_run(self._source_spec(algorithm, source))
         batched = run(self._source_spec(algorithm, source, batch_size=batch_size))
         assert fingerprint(batched) == fingerprint(baseline)
         if algorithm.startswith("RAND"):
@@ -153,7 +156,7 @@ class TestStreamingPolicyLanes:
         # distribution drifts — the lane must reproduce the per-tuple
         # decisions of those same stale tables, not "better" ones.
         source = DriftingZipfSource(30, 1.2, phase_length=300, seed=4, length=1500)
-        baseline = run(self._source_spec(algorithm, source))
+        baseline = kernel_run(self._source_spec(algorithm, source))
         batched = run(self._source_spec(algorithm, source, batch_size=64))
         assert fingerprint(batched) == fingerprint(baseline)
 
@@ -168,8 +171,9 @@ class TestStreamingPolicyLanes:
         monkeypatch.setattr(JoinEngine, "_run_policy_batched", spy)
         source = ZipfSource(30, 1.0, seed=11, length=600)
         run(self._source_spec("PROB", source, batch_size=64))
-        # Survival records and the occupancy sampler are pair-only.
-        assert lanes == [("prob", {})]
+        # Survival records and the occupancy sampler are pair-only; no
+        # on_summary means no summary stride.
+        assert lanes == [("prob", {"on_summary": None, "stride": None})]
 
     def test_estimator_fed_prob_falls_back_identically(self, monkeypatch):
         # An online estimator updates mid-stream, so no static table
@@ -261,32 +265,32 @@ class TestTableUpdateInvalidation:
     @pytest.mark.parametrize("algorithm", ("PROB", "LIFE"))
     def test_engine_decisions_track_update(self, algorithm):
         # A policy built on dist A whose tables are then updated to
-        # dist B must shed exactly like a policy built on dist B — per
-        # tuple and through the batched lane alike.  (A stale cache
+        # dist B must shed exactly like a policy built on dist B — in
+        # the kernel loop and through the batched lane alike.  (A stale cache
         # would keep shedding by dist A: the sensitivity check below
         # pins that the two distributions actually decide differently.)
         pair = build_pair(small_spec(algorithm))
         window = SMALL["window"]
 
-        def engine_run(est, batch_size=None):
+        def engine_run(est, **config):
             if algorithm == "PROB":
                 policy = SidePolicies(r=ProbPolicy(est), s=ProbPolicy(est))
             else:
                 policy = SidePolicies(
                     r=LifePolicy(est, window), s=LifePolicy(est, window)
                 )
-            config = EngineConfig(
-                window=window, memory=SMALL["memory"], batch_size=batch_size,
-            )
+            config = EngineConfig(window=window, memory=SMALL["memory"], **config)
             return JoinEngine(config, policy=policy).run(pair)
 
         est = tables_for(self.DIST_A, self.DIST_A)
-        stale_before_update = fingerprint(engine_run(est))
+        stale_before_update = fingerprint(engine_run(est, force_general=True))
         est["R"].update(self.DIST_B)
         est["S"].update(self.DIST_B)
-        updated = fingerprint(engine_run(est))
+        updated = fingerprint(engine_run(est, force_general=True))
         updated_batched = fingerprint(engine_run(est, batch_size=64))
-        rebuilt = fingerprint(engine_run(tables_for(self.DIST_B, self.DIST_B)))
+        rebuilt = fingerprint(
+            engine_run(tables_for(self.DIST_B, self.DIST_B), force_general=True)
+        )
 
         assert updated == rebuilt
         assert updated_batched == rebuilt
