@@ -60,7 +60,7 @@ ab:
 # results (SCALE=default reproduces them byte for byte).  The lists must
 # match the generator registries; tests/test_paper_claims.py checks it.
 FIGURES := figure3 figure4 figure5 figure6 figure6_correlated figure7 figure8 figure9 figure10 figure11
-TABLES := variable_memory varying_memory static_join multiway_join arm_study slow_cpu multi_query variance_study flow_solver ablation_statistics ablation_predictor ablation_drift ablation_solver
+TABLES := variable_memory varying_memory static_join multiway_join arm_study slow_cpu multi_query variance_study flow_solver ablation_statistics ablation_predictor ablation_drift
 
 figures:
 	@for id in $(FIGURES); do \

@@ -2,7 +2,9 @@
 
 Times the same run-cell grid — every algorithm x seed combination of the
 Figure-3 configuration at ``ci`` scale — twice through
-:func:`repro.experiments.sweep._suite_counts`: once serially and once
+:func:`repro.experiments.sweep._seed_outputs`, the seed-sweep loop
+behind ``sweep_seeds``, ``sweep_specs`` and the variance study: once
+serially and once
 fanned out over :mod:`repro.runtime` worker processes.  Records both
 wall-clocks, the speedup ratio, and — the part that gates — whether the
 two paths produced **identical** per-cell output counts.
@@ -24,8 +26,9 @@ import os
 import sys
 import time
 
+from repro.api import RunSpec
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
-from repro.experiments.sweep import _suite_counts
+from repro.experiments.sweep import _seed_outputs
 from repro.streams import zipf_pair
 
 ALGORITHMS = ("RAND", "PROB", "PROBV", "LIFE")
@@ -38,28 +41,33 @@ def build_runtime_snapshot(scale_name: str, workers: int) -> dict:
     window = max(scale.window, 100)
     memory = even_memory(window, 0.5)
 
-    def factory(seed: int):
-        return zipf_pair(length, DEFAULT_DOMAIN, 1.0, seed=seed)
+    def sweep(workers: int) -> dict:
+        seeded = [
+            (
+                RunSpec(window=window, memory=memory, seed=seed),
+                zipf_pair(length, DEFAULT_DOMAIN, 1.0, seed=seed),
+            )
+            for seed in SEEDS
+        ]
+        return _seed_outputs(ALGORITHMS, seeded, workers=workers)
 
     start = time.perf_counter()
-    serial = _suite_counts(
-        ALGORITHMS, factory, window, memory, seeds=SEEDS, workers=1
-    )
+    serial = sweep(1)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = _suite_counts(
-        ALGORITHMS, factory, window, memory, seeds=SEEDS, workers=workers
-    )
+    parallel = sweep(workers)
     parallel_seconds = time.perf_counter() - start
 
     mismatches = []
-    for seed, serial_counts, parallel_counts in zip(SEEDS, serial, parallel):
-        for name in ALGORITHMS:
-            if serial_counts[name] != parallel_counts[name]:
+    for name in ALGORITHMS:
+        for seed, serial_count, parallel_count in zip(
+            SEEDS, serial[name], parallel[name]
+        ):
+            if serial_count != parallel_count:
                 mismatches.append(
-                    f"{name}(seed={seed}): serial {serial_counts[name]} "
-                    f"!= parallel {parallel_counts[name]}"
+                    f"{name}(seed={seed}): serial {serial_count} "
+                    f"!= parallel {parallel_count}"
                 )
 
     return {
@@ -86,6 +94,7 @@ def build_runtime_snapshot(scale_name: str, workers: int) -> dict:
         "outputs_match": not mismatches,
         "mismatches": mismatches,
         "counts": [
-            {"seed": seed, **per_seed} for seed, per_seed in zip(SEEDS, serial)
+            {"seed": seed, **{name: serial[name][index] for name in ALGORITHMS}}
+            for index, seed in enumerate(SEEDS)
         ],
     }

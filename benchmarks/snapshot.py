@@ -12,7 +12,8 @@ Overheads are same-lane comparisons: the metrics overhead compares two
 default-path runs (both take the columnar lane, or both the fast loop
 for ARM), and the trace overhead compares the traced run against
 an untraced run *forced onto the same kernel-driven tick loop*
-(``force_general=True``) — a tracer disables the lanes and the fast
+(:func:`run_kernel`, an engine built with ``force_general=True``) — a
+tracer disables the lanes and the fast
 loop, so comparing against the default path's time would report the
 lane difference (hundreds of percent) rather than the cost of tracing.
 
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 
-from repro.experiments import estimators_for, run_algorithm
+from repro.api import RunSpec, _policy_for, run
+from repro.core.engine import EngineConfig, JoinEngine
+from repro.experiments import estimators_for
 from repro.experiments.config import DEFAULT_DOMAIN, SCALES, even_memory
-from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.streams import zipf_pair
 from repro.streams.sources import PairSource
 
@@ -70,6 +73,25 @@ def _interleaved_best(repeats: int, variants):
     return best, results
 
 
+def run_kernel(spec: RunSpec, pair, estimators):
+    """``spec`` over ``pair`` through the kernel-driven tick loop.
+
+    ``run(spec)`` takes a lane or the fast loop wherever one applies, so
+    the same-loop reference of the trace-overhead row builds its engine
+    with ``force_general=True`` and the policy ``run()`` would build.
+    """
+    config = EngineConfig(
+        window=spec.window,
+        memory=spec.effective_memory,
+        variable=spec.variable,
+        warmup=spec.warmup,
+        track_survival=spec.track_survival,
+        force_general=True,
+    )
+    engine = JoinEngine(config, policy=_policy_for(spec, pair, estimators))
+    return engine.run(pair)
+
+
 def _trim_snapshot(snapshot: dict) -> dict:
     """Counters, gauges, and phases only — series are too bulky to commit."""
     return {
@@ -93,18 +115,21 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
     policies = []
     for name in POLICIES:
         # The timed lane is run(pair), the default path.  Before
-        # timing, pin the *incremental* source path (forced with until=)
+        # timing, pin the *incremental* source path (forced with duration=)
         # to the kernel loop's result on this exact workload: the
         # streaming identity contract, asserted where a divergence would
         # silently skew the numbers being committed.  These two runs
         # double as the allocator/cache warmup outside the timed rounds.
-        reference = run_algorithm(
-            name, pair, window, memory, estimators=estimators, seed=seed,
-            force_general=True,
+        spec = RunSpec(
+            algorithm=name, window=window, memory=memory, seed=seed,
+            track_survival=False,
         )
-        incremental = run_algorithm(
-            name, pair, window, memory, estimators=estimators, seed=seed,
-            source=PairSource(pair), until=length,
+        timed_spec = replace(spec, metrics=True)
+        traced_spec = replace(spec, trace=True, trace_capacity=1 << 20)
+        reference = run_kernel(spec, pair, estimators)
+        incremental = run(
+            replace(spec, source=PairSource(pair), duration=length),
+            estimators=estimators,
         )
         if (
             incremental.output_count != reference.output_count
@@ -121,28 +146,15 @@ def build_snapshot(scale_name: str, repeats: int, seed: int) -> dict:
                 f"{dict(reference.drop_counts)})"
             )
         best, results = _interleaved_best(repeats, {
-            "plain": lambda: run_algorithm(
-                name, pair, window, memory,
-                estimators=estimators, seed=seed,
-            ),
-            "timed": lambda: run_algorithm(
-                name, pair, window, memory,
-                estimators=estimators, seed=seed, metrics=MetricsRegistry(),
-            ),
+            "plain": lambda: run(spec, pair=pair, estimators=estimators),
+            "timed": lambda: run(timed_spec, pair=pair, estimators=estimators),
             # A tracer forces the kernel tick loop, so comparing a
             # traced run against the default-path "plain" leg measures
             # lane difference, not tracing cost (it reported +370% for
             # EXACT).  Pin the trace comparison to the same execution
             # lane: an untraced run forced onto the kernel loop.
-            "general": lambda: run_algorithm(
-                name, pair, window, memory,
-                estimators=estimators, seed=seed, force_general=True,
-            ),
-            "traced": lambda: run_algorithm(
-                name, pair, window, memory,
-                estimators=estimators, seed=seed,
-                trace=Tracer(RingBufferSink(1 << 20)),
-            ),
+            "general": lambda: run_kernel(spec, pair, estimators),
+            "traced": lambda: run(traced_spec, pair=pair, estimators=estimators),
         })
         plain_seconds, timed_seconds, general_seconds, traced_seconds = (
             best["plain"], best["timed"], best["general"], best["traced"]

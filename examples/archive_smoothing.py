@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import archive_metric, refine_from_archive, run_algorithm, zipf_pair
-from repro.core.exact import run_exact
+from repro import RunSpec, archive_metric, refine_from_archive, run, zipf_pair
 
 
 def main() -> None:
@@ -34,10 +33,13 @@ def main() -> None:
     pair = zipf_pair(args.length, domain_size=50, skew=1.0, seed=args.seed)
 
     print("DAY MODE (peak load, shedding with PROB)")
-    day = run_algorithm(
-        "PROB", pair, window, memory, materialize=True, track_survival=True
+    day = run(
+        RunSpec(algorithm="PROB", window=window, memory=memory, materialize=True),
+        pair=pair,
     )
-    exact = run_exact(pair, window, materialize=True)
+    exact = run(
+        RunSpec(algorithm="EXACT", window=window, materialize=True), pair=pair
+    )
     print(f"  produced {day.output_count} of {exact.output_count} result tuples "
           f"({100 * day.output_count / max(exact.output_count, 1):.1f}%) "
           f"with M={memory} (exact needs {2 * window})")

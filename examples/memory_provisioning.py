@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro import zipf_pair
+from repro import RunSpec, run, zipf_pair
 from repro.core.offline import memory_value_curve
-from repro.experiments import run_algorithm
 
 
 def main() -> None:
@@ -59,7 +58,10 @@ def main() -> None:
     )
 
     # How close does the online heuristic come at that budget?
-    prob = run_algorithm("PROB", pair, window, budget, seed=args.seed)
+    prob = run(
+        RunSpec(algorithm="PROB", window=window, memory=budget, seed=args.seed),
+        pair=pair,
+    )
     opt_at_budget = next(p.output for p in curve.points if p.memory == budget)
     print(
         f"at M = {budget}, online PROB achieves {prob.output_count} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import run_algorithm, weather_pair
+from repro import RunSpec, run, weather_pair
 from repro.experiments import estimators_for
 from repro.streams import GridCell, weather_records
 
@@ -33,23 +33,28 @@ def main() -> None:
     print(f"joining two years of {len(pair)} cloud reports on grid cell")
     print(f"window {window}, memory {memory} (exact needs {2 * window})\n")
 
-    exact = run_algorithm("EXACT", pair, window, 0, warmup=warmup)
+    exact = run(RunSpec(algorithm="EXACT", window=window, warmup=warmup), pair=pair)
     print(f"{'algorithm':<8} {'matched pairs':>14} {'% of exact':>11}")
     print("-" * 36)
     for name in ("RAND", "PROB", "PROBV"):
-        result = run_algorithm(
-            name, pair, window, memory, warmup=warmup,
-            estimators=estimators, seed=args.seed,
+        spec = RunSpec(
+            algorithm=name, window=window, memory=memory, warmup=warmup,
+            seed=args.seed,
         )
+        result = run(spec, pair=pair, estimators=estimators)
         fraction = 100 * result.output_count / max(exact.output_count, 1)
         print(f"{name:<8} {result.output_count:>14} {fraction:>10.1f}%")
     print(f"{'EXACT':<8} {exact.output_count:>14} {100.0:>10.1f}%")
 
     # Figure 8: PROBV's memory allocation stays near 50/50 because the two
     # years' report distributions are nearly identical.
-    probv = run_algorithm(
-        "PROBV", pair, window, memory, warmup=warmup, estimators=estimators,
-        track_shares=True, share_sample_every=max(1, len(pair) // 10),
+    probv = run(
+        RunSpec(
+            algorithm="PROBV", window=window, memory=memory, warmup=warmup,
+            track_shares=True, share_sample_every=max(1, len(pair) // 10),
+        ),
+        pair=pair,
+        estimators=estimators,
     )
     print("\nPROBV memory split over time (R share):")
     for t, fraction in probv.share_fraction_r():
@@ -57,9 +62,13 @@ def main() -> None:
         print(f"  t={t:>7}  {fraction:5.2f}  {bar}")
 
     # Materialise a few concrete matches with full payload records.
-    sample = run_algorithm(
-        "PROB", pair.prefix(3 * window), window, memory,
-        warmup=warmup, estimators=estimators, materialize=True,
+    sample = run(
+        RunSpec(
+            algorithm="PROB", window=window, memory=memory, warmup=warmup,
+            materialize=True,
+        ),
+        pair=pair.prefix(3 * window),
+        estimators=estimators,
     )
     year1 = list(weather_records(pair.r[: 3 * window], seed=args.seed))
     year2 = list(weather_records(pair.s[: 3 * window], seed=args.seed + 1))

@@ -47,7 +47,6 @@ from .core import (
     WindowSpec,
     make_policy,
     make_policy_spec,
-    run_exact,
 )
 from .core.archive import ArchiveStore, RefinementReport, refine_from_archive
 from .core.metrics import archive_metric, max_subset_report
@@ -65,7 +64,6 @@ from .core.static_join import (
     min_edges_lost_deleting,
     retention_benefit,
 )
-from .experiments import run_algorithm, run_suite
 from .obs import (
     MetricsRegistry,
     NullRecorder,
@@ -128,10 +126,7 @@ __all__ = [
     "refine_from_archive",
     "retention_benefit",
     "run",
-    "run_algorithm",
-    "run_exact",
     "run_join",
-    "run_suite",
     "save_metrics_csv",
     "save_metrics_json",
     "solve_opt",

@@ -105,6 +105,16 @@ class RunSpec:
     tick regardless of this knob (see ``docs/architecture.md``,
     "Batched execution").
 
+    ``materialize``, ``track_survival``, ``track_shares`` /
+    ``share_sample_every`` and ``memory_schedule`` pass through to
+    :class:`~repro.core.engine.EngineConfig` (see its attributes): the
+    output pairs, per-tuple departures (on by default), the memory-share
+    trace of Figure 8, and a time-varying budget.  They apply to
+    unsharded ``engine="fast"`` runs of an online algorithm only; any
+    other spec that sets one raises a ``ValueError`` naming it.  Apart
+    from ``track_survival``, each of them sends the run to the per-tuple
+    kernel loop.
+
     ``shards=N`` (fast engine only) hash-partitions the key domain into
     ``N`` independent sub-joins executed via
     :mod:`repro.core.partition` and merged deterministically: EXACT is
@@ -180,6 +190,11 @@ class RunSpec:
 
     engine: str = "fast"
     batch_size: Optional[int] = None
+    materialize: bool = False
+    track_survival: bool = True
+    track_shares: bool = False
+    share_sample_every: int = 1
+    memory_schedule: Optional[object] = None
     service_per_tick: int = 2
     queue_capacity: int = 64
     queue_policy: str = "tail"
@@ -226,6 +241,25 @@ class RunSpec:
                     "engine batches natively per tick; the slow-CPU model "
                     f"sheds at the queue), got engine={self.engine!r}"
                 )
+        engine_options = [
+            knob
+            for knob, is_set in (
+                ("materialize", self.materialize),
+                ("track_survival", not self.track_survival),
+                ("track_shares", self.track_shares),
+                ("share_sample_every", self.share_sample_every != 1),
+                ("memory_schedule", self.memory_schedule is not None),
+            )
+            if is_set
+        ]
+        if engine_options and (
+            self.engine != "fast" or self.shards > 1 or name in ("OPT", "OPTV")
+        ):
+            raise ValueError(
+                f"{engine_options[0]} applies to unsharded fast-CPU runs of "
+                f"an online algorithm, got algorithm={name!r}, "
+                f"engine={self.engine!r}, shards={self.shards}"
+            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shards > 1:
@@ -485,10 +519,16 @@ def run(
             "an unbounded source needs duration=N or a stop() callback "
             "to bound the run"
         )
-    registry = _registry_for(spec)
-    tracer = _tracer_for(spec)
-    policy = _policy_for(spec, pair, estimators)
-    stream_kwargs = dict(
+    if streaming and spec.engine == "slowcpu":
+        raise ValueError(
+            "emit/on_summary/stop need the fast or async engine "
+            f"(run_stream), got engine={spec.engine!r}"
+        )
+    return _run_engine(
+        spec,
+        pair,
+        estimators,
+        _tracer_for(spec),
         until=spec.duration,
         emit=emit,
         on_summary=on_summary,
@@ -496,18 +536,33 @@ def run(
         stop=stop,
     )
 
+
+def _run_engine(spec: RunSpec, pair, estimators, tracer, **stream_kwargs):
+    """Build the spec's engine and run it over ``spec.source`` or ``pair``.
+
+    The one place a named online algorithm becomes an engine run.
+    :func:`run` validates first; :func:`attribute_run` passes its own
+    ``tracer`` so it can tell a complete trace from a truncated one.
+    """
+    registry = _registry_for(spec)
+    policy = _policy_for(spec, pair, estimators)
+    source = spec.source if spec.source is not None else PairSource(pair)
+
     if spec.engine == "fast":
         config = EngineConfig(
             window=spec.window,
             memory=spec.effective_memory,
             variable=spec.variable,
             warmup=spec.warmup,
+            materialize=spec.materialize,
+            track_shares=spec.track_shares,
+            share_sample_every=spec.share_sample_every,
+            track_survival=spec.track_survival,
+            memory_schedule=spec.memory_schedule,
             batch_size=spec.batch_size,
         )
         engine = JoinEngine(config, policy=policy, metrics=registry, trace=tracer)
-        return engine.run_stream(
-            source if source is not None else PairSource(pair), **stream_kwargs
-        )
+        return engine.run_stream(source, **stream_kwargs)
 
     if spec.engine == "async":
         config = AsyncEngineConfig(
@@ -517,15 +572,8 @@ def run(
             warmup=spec.warmup,
         )
         engine = AsyncJoinEngine(config, policy=policy, metrics=registry, trace=tracer)
-        return engine.run_stream(
-            source if source is not None else PairSource(pair), **stream_kwargs
-        )
+        return engine.run_stream(source, **stream_kwargs)
 
-    if streaming:
-        raise ValueError(
-            "emit/on_summary/stop need the fast or async engine "
-            f"(run_stream), got engine={spec.engine!r}"
-        )
     config = SlowCpuConfig(
         window=spec.window,
         memory=spec.effective_memory,
@@ -930,8 +978,11 @@ def attribute_run(spec: RunSpec, *, pair: Optional[StreamPair] = None):
     Returns an :class:`~repro.obs.AttributionReport` whose ledger
     reconciles exactly with ``EXACT − observed`` output counts — the
     fast-CPU engine's shedding semantics make the decomposition exact,
-    so only ``engine="fast"`` specs are accepted (the queue-fronted
-    engines shed at the queue, outside the exact-replay model).
+    so only ``engine="fast"`` specs over a materialized pair are
+    accepted (the queue-fronted engines shed at the queue, outside the
+    exact-replay model).  A trace that overflowed the spec's
+    ``trace_capacity`` cannot reconcile, so it raises ``RuntimeError``
+    instead of returning a partial ledger.
     """
     from .obs import attribute_trace
     from .streams.tuples import exact_join_size
@@ -943,10 +994,21 @@ def attribute_run(spec: RunSpec, *, pair: Optional[StreamPair] = None):
         )
     if spec.algorithm in ("OPT", "OPTV"):
         raise ValueError("attribute_run cannot trace the offline OPT bound")
+    if spec.source is not None:
+        raise ValueError(
+            "attribute_run replays a materialized pair; it cannot consume a source"
+        )
     if pair is None:
         pair = build_pair(spec)
-    traced = replace(spec, trace=True) if not spec.trace else spec
-    result = run(traced, pair=pair)
+    traced = replace(spec, trace=True)
+    tracer = _tracer_for(traced)
+    result = _run_engine(traced, pair, None, tracer)
+    dropped = tracer.sink.dropped
+    if dropped:
+        raise RuntimeError(
+            f"{spec.algorithm}: ring buffer dropped {dropped} events; "
+            "raise trace_capacity for a complete attribution"
+        )
     exact = exact_join_size(pair, spec.window, count_from=spec.effective_warmup)
     return attribute_trace(
         result.trace,

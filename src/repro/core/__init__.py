@@ -16,7 +16,6 @@ from .engine import (
     JoinEngine,
     RunResult,
 )
-from .exact import run_exact
 from .memory import JoinMemory, StreamMemory, TupleRecord
 from .policies import (
     POLICY_NAMES,
@@ -51,5 +50,4 @@ __all__ = [
     "make_policy",
     "make_policy_spec",
     "register_policy",
-    "run_exact",
 ]

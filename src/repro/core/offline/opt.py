@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...flow import SOLVERS
+from ...flow import solve_min_cost_flow
 from ...obs import active_or_none
 from ...streams.tuples import StreamPair
 from ..results import BaseRunResult, DropBreakdown
@@ -73,13 +73,13 @@ class OptResult(BaseRunResult):
 
 
 def _solve_pool(
-    jobs: list[TupleJob], length: int, capacity: int, solver: str, metrics=None
+    jobs: list[TupleJob], length: int, capacity: int, metrics=None
 ) -> tuple[int, dict[tuple[str, int], int]]:
     """Optimal profit and schedule for one slot pool."""
     if capacity == 0 or not jobs:
         return 0, {}
     schedule = build_schedule_network(jobs, length, capacity)
-    result = SOLVERS[solver](schedule.network, metrics=metrics)
+    result = solve_min_cost_flow(schedule.network, metrics=metrics)
     if not result.feasible:
         raise RuntimeError(
             "schedule network infeasible — the chain should always carry "
@@ -135,7 +135,6 @@ def solve_opt(
     variable: bool = False,
     count_from: Optional[int] = None,
     verify: bool = True,
-    solver: str = "ssp",
     metrics=None,
 ) -> OptResult:
     """Compute the optimal offline schedule for a stream pair.
@@ -157,17 +156,10 @@ def solve_opt(
     verify:
         Replay the decoded schedule against the streams and assert the
         count matches the flow objective (cheap; on by default).
-    solver:
-        Which min-cost flow solver to use: ``"ssp"`` (successive shortest
-        paths, the default — fastest here because the flow value is the
-        memory size) or ``"cost_scaling"`` (the CS2 algorithm family the
-        paper used).  Both are exact.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` passed down to the
-        flow solver (augmentations, relabels, phase timings).
+        flow solver (augmentations, phase timings).
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {sorted(SOLVERS)}, got {solver!r}")
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if memory <= 0:
@@ -181,11 +173,11 @@ def solve_opt(
     r_jobs, s_jobs, simultaneous = extract_jobs(pair, window, count_from=count_from)
 
     if variable:
-        profit, departures = _solve_pool(r_jobs + s_jobs, length, memory, solver, metrics)
+        profit, departures = _solve_pool(r_jobs + s_jobs, length, memory, metrics)
     else:
         half = memory // 2
-        profit_r, departures_r = _solve_pool(r_jobs, length, half, solver, metrics)
-        profit_s, departures_s = _solve_pool(s_jobs, length, half, solver, metrics)
+        profit_r, departures_r = _solve_pool(r_jobs, length, half, metrics)
+        profit_s, departures_s = _solve_pool(s_jobs, length, half, metrics)
         profit = profit_r + profit_s
         departures = {**departures_r, **departures_s}
 

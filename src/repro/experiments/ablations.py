@@ -13,8 +13,6 @@ knobs the paper leaves implicit:
   the decay from near-OPT to RAND-level.
 * **distribution drift** — static tables cannot follow a shifting
   distribution; decayed statistics can.
-* **solver choice** — OPT via successive shortest paths vs. the
-  cost-scaling (CS2-family) solver: identical optima.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.engine import EngineConfig, JoinEngine
-from ..core.offline.opt import solve_opt
-from ..core.policies import ProbPolicy, SidePolicies
+from .. import api
 from ..stats import (
     CountMinSketch,
     EwmaFrequencyEstimator,
@@ -37,14 +33,13 @@ from ..stats import (
 from ..streams.generators import drifting_zipf_pair, zipf_pair
 from .config import DEFAULT_DOMAIN, Scale, current_scale, even_memory
 from .figures import TableData
-from .runner import estimators_for, run_algorithm
+from .runner import estimators_for
 
 
-def _run_prob_with(pair, window, memory, estimators) -> int:
-    """One fixed-allocation PROB run reading the given estimator pair."""
-    config = EngineConfig(window=window, memory=memory)
-    policy = SidePolicies(r=ProbPolicy(estimators), s=ProbPolicy(estimators))
-    return JoinEngine(config, policy=policy).run(pair).output_count
+def _output(algorithm, pair, window, memory, *, seed=0, estimators=None) -> int:
+    """One run's output count over ``pair`` through :func:`repro.api.run`."""
+    spec = api.RunSpec(algorithm=algorithm, window=window, memory=memory, seed=seed)
+    return api.run(spec, pair=pair, estimators=estimators).output_count
 
 
 def statistics_ablation(
@@ -92,10 +87,12 @@ def statistics_ablation(
         "Space-Saving (16)",
         "Reservoir (128)",
     )
-    rand = run_algorithm("RAND", pair, window, memory, seed=seed).output_count
+    rand = _output("RAND", pair, window, memory, seed=seed)
     rows: list[list] = []
     for kind in kinds:
-        output = _run_prob_with(pair, window, memory, fresh_estimators(kind))
+        output = _output(
+            "PROB", pair, window, memory, estimators=fresh_estimators(kind)
+        )
         rows.append([kind, output, round(output / max(rand, 1), 2)])
     rows.append(["(RAND baseline)", rand, 1.0])
 
@@ -136,8 +133,8 @@ def predictor_quality_ablation(
     shuffled_r = rng.permutation(true_r)
     shuffled_s = rng.permutation(true_s)
 
-    rand = run_algorithm("RAND", pair, window, memory, seed=seed).output_count
-    opt = run_algorithm("OPT", pair, window, memory).output_count
+    rand = _output("RAND", pair, window, memory, seed=seed)
+    opt = _output("OPT", pair, window, memory)
 
     rows: list[list] = []
     for noise in noise_levels:
@@ -147,7 +144,7 @@ def predictor_quality_ablation(
             "R": StaticFrequencyTable.from_array(blend_r),
             "S": StaticFrequencyTable.from_array(blend_s),
         }
-        output = _run_prob_with(pair, window, memory, estimators)
+        output = _output("PROB", pair, window, memory, estimators=estimators)
         rows.append([noise, output, round(output / max(opt, 1), 3)])
     rows.append(["RAND", rand, round(rand / max(opt, 1), 3)])
 
@@ -186,12 +183,12 @@ def drift_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData
         "R": StaticFrequencyTable.from_stream(pair.r[:half]),
         "S": StaticFrequencyTable.from_stream(pair.s[:half]),
     }
-    stale_output = _run_prob_with(pair, window, memory, stale)
+    stale_output = _output("PROB", pair, window, memory, estimators=stale)
 
     adaptive = {"R": EwmaFrequencyEstimator(0.02), "S": EwmaFrequencyEstimator(0.02)}
-    adaptive_output = _run_prob_with(pair, window, memory, adaptive)
+    adaptive_output = _output("PROB", pair, window, memory, estimators=adaptive)
 
-    rand = run_algorithm("RAND", pair, window, memory, seed=seed).output_count
+    rand = _output("RAND", pair, window, memory, seed=seed)
 
     rows = [
         ["static table (first phase)", stale_output],
@@ -211,47 +208,10 @@ def drift_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData
     )
 
 
-def solver_ablation(scale: Optional[Scale] = None, *, seed: int = 0) -> TableData:
-    """OPT's optimum under the two min-cost flow solvers.
-
-    The instance is capped at a fixed small size regardless of scale:
-    the point is agreement, and the cost-scaling solver's pure-Python
-    constants are far larger than SSP's (which is why SSP is the
-    production default).  The table holds no timings, so it is
-    reproducible byte for byte.
-    """
-    scale = scale or current_scale()
-    window = min(max(scale.window // 2, 20), 30)
-    memory = even_memory(window, 1.0)
-    pair = zipf_pair(
-        min(max(scale.stream_length // 2, 300), 450), DEFAULT_DOMAIN, 1.0, seed=seed
-    )
-
-    rows: list[list] = []
-    reference = None
-    for solver in ("ssp", "cost_scaling"):
-        result = solve_opt(pair, window, memory, solver=solver)
-        rows.append([solver, result.output_count])
-        if reference is None:
-            reference = result.output_count
-        else:
-            assert result.output_count == reference, "solvers disagree"
-
-    return TableData(
-        table_id="ablation_solver",
-        title=f"OPT solver comparison, n={len(pair)}, w={window}, M={memory}",
-        columns=["solver", "OPT output"],
-        rows=rows,
-        params={"window": window, "memory": memory},
-        expectation="Identical optima.",
-    )
-
-
 #: Every ablation generator keyed by id, for the CLI, ``make figures``
 #: and ``tests/test_paper_claims.py``.
 ABLATION_GENERATORS = {
     "ablation_statistics": statistics_ablation,
     "ablation_predictor": predictor_quality_ablation,
     "ablation_drift": drift_ablation,
-    "ablation_solver": solver_ablation,
 }

@@ -12,9 +12,10 @@ registered figure and table to ``benchmarks/results/`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+from .. import api
 from ..core.metrics.archive import archive_metric
 from ..core.offline import build_schedule_network, extract_jobs, solve_opt
 from ..core.slowcpu import SlowCpuConfig, SlowCpuEngine
@@ -46,7 +47,7 @@ from .config import (
     even_memory,
     memory_sweep,
 )
-from .runner import estimators_for, run_algorithm, run_suite
+from .runner import estimators_for
 from .sweep import variance_study
 
 
@@ -105,48 +106,19 @@ class TableData:
 # Figures 3, 4, 5: output vs. memory for one workload
 # ----------------------------------------------------------------------
 
-def _grid_output_counts(
-    grid: Sequence[tuple],
+def _outputs(
+    specs: Sequence[api.RunSpec],
     pair: StreamPair,
-    window: int,
-    *,
-    seed: int,
-    warmup: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> list[int]:
-    """Output counts for ``(memory, algorithm)`` cells, optionally parallel.
+    """Output counts of ``specs`` over the shared ``pair``, in order.
 
-    Serial execution shares one estimator build across the grid exactly
-    as the original figure loops did; parallel workers rebuild them from
-    the pair's metadata (a pure function, so the counts are identical).
+    One :func:`repro.api.compare` call: serial runs share one estimator
+    build, and ``workers`` fans the specs out over worker processes
+    (see :mod:`repro.runtime`) with identical counts.
     """
-    from ..runtime import (
-        AlgorithmCell,
-        parallel_map,
-        resolve_workers,
-        run_algorithm_cell,
-    )
-
-    if resolve_workers(workers) <= 1 or len(grid) <= 1:
-        estimators = estimators_for(pair)
-        return [
-            run_algorithm(
-                name, pair, window, memory, seed=seed, warmup=warmup,
-                estimators=estimators,
-            ).output_count
-            for memory, name in grid
-        ]
-    cells = [
-        AlgorithmCell(name, pair, window, memory, seed=seed, warmup=warmup)
-        for memory, name in grid
-    ]
-    results = parallel_map(
-        run_algorithm_cell,
-        cells,
-        workers=workers,
-        labels=[cell.label for cell in cells],
-    )
-    return [result.output_count for result in results]
+    results = api.compare(specs, pair=pair, workers=workers)
+    return [result.output_count for result in results.values()]
 
 
 def _memory_sweep_figure(
@@ -170,15 +142,17 @@ def _memory_sweep_figure(
     memories = memory_sweep(window)
 
     series: dict[str, Series] = {name: Series(name, []) for name in algorithms}
-    grid = [(memory, name) for memory in memories for name in algorithms]
-    for (memory, name), count in zip(
-        grid, _grid_output_counts(grid, pair, window, seed=seed, workers=workers)
-    ):
-        series[name].points.append((memory, count))
+    specs = [
+        api.RunSpec(algorithm=name, window=window, memory=memory, seed=seed)
+        for memory in memories
+        for name in algorithms
+    ]
+    for spec, count in zip(specs, _outputs(specs, pair, workers)):
+        series[spec.algorithm].points.append((spec.memory, count))
 
     all_series = [series[name] for name in algorithms]
     if include_exact:
-        exact = run_algorithm("EXACT", pair, window, 0)
+        exact = api.run(api.RunSpec(algorithm="EXACT", window=window), pair=pair)
         all_series.append(
             Series("EXACT", [(m, exact.output_count) for m in memories])
         )
@@ -295,10 +269,8 @@ def figure6(
             correlation=correlation,
             seed=seed,
         )
-        results = run_suite(
-            ("RAND", "PROB", "OPT"), pair, window, memory, seed=seed,
-            workers=workers,
-        )
+        spec = api.RunSpec(algorithm="RAND", window=window, memory=memory, seed=seed)
+        results = api.compare([spec, "PROB", "OPT"], pair=pair, workers=workers)
         opt = max(results["OPT"].output_count, 1)
         rand_series.points.append((skew, results["RAND"].output_count / opt))
         prob_series.points.append((skew, results["PROB"].output_count / opt))
@@ -352,12 +324,14 @@ def figure_domain_size(
     pair = zipf_pair(scale.stream_length, domain_size, 1.0, seed=seed)
     memories = memory_sweep(window)
 
-    exact = run_algorithm("EXACT", pair, window, 0)
+    exact = api.run(api.RunSpec(algorithm="EXACT", window=window), pair=pair)
     series = {name: Series(f"{name}/OPT", []) for name in ("RAND", "PROB", "EXACT")}
-    grid = [
-        (memory, name) for memory in memories for name in ("OPT", "RAND", "PROB")
+    specs = [
+        api.RunSpec(algorithm=name, window=window, memory=memory, seed=seed)
+        for memory in memories
+        for name in ("OPT", "RAND", "PROB")
     ]
-    counts = iter(_grid_output_counts(grid, pair, window, seed=seed, workers=workers))
+    counts = iter(_outputs(specs, pair, workers))
     for memory in memories:
         opt = max(next(counts), 1)
         for name in ("RAND", "PROB"):
@@ -421,15 +395,18 @@ def figure7(scale: Optional[Scale] = None, *, seed: int = 0,
 
     names = ("RAND", "PROB", "PROBV")
     series = {name: Series(name, []) for name in names}
-    grid = [(memory, name) for memory in memories for name in names]
-    for (memory, name), count in zip(
-        grid,
-        _grid_output_counts(
-            grid, pair, window, seed=seed, warmup=warmup, workers=workers
-        ),
-    ):
-        series[name].points.append((memory, count))
-    exact = run_algorithm("EXACT", pair, window, 0, warmup=warmup)
+    specs = [
+        api.RunSpec(
+            algorithm=name, window=window, memory=memory, seed=seed, warmup=warmup
+        )
+        for memory in memories
+        for name in names
+    ]
+    for spec, count in zip(specs, _outputs(specs, pair, workers)):
+        series[spec.algorithm].points.append((spec.memory, count))
+    exact = api.run(
+        api.RunSpec(algorithm="EXACT", window=window, warmup=warmup), pair=pair
+    )
     exact_series = Series("EXACT", [(m, exact.output_count) for m in memories])
 
     return FigureData(
@@ -460,16 +437,16 @@ def figure8(scale: Optional[Scale] = None, *, seed: int = 0) -> FigureData:
     memory = even_memory(window, 1.0)
     pair = weather_pair(scale.weather_length, seed=seed)
 
-    result = run_algorithm(
-        "PROBV",
-        pair,
-        window,
-        memory,
+    spec = api.RunSpec(
+        algorithm="PROBV",
+        window=window,
+        memory=memory,
         seed=seed,
         warmup=warmup,
         track_shares=True,
         share_sample_every=max(1, len(pair) // 400),
     )
+    result = api.run(spec, pair=pair)
     assert result.shares is not None
     r_series = Series(
         "R share of memory",
@@ -518,18 +495,18 @@ def variable_memory_study(
     for z_r, z_s in skew_pairs:
         pair = zipf_pair(scale.stream_length, DEFAULT_DOMAIN, z_r, skew_s=z_s, seed=seed)
         estimators = estimators_for(pair)
-        prob = run_algorithm(
-            "PROB", pair, window, memory, seed=seed, estimators=estimators
-        ).output_count
-        probv_result = run_algorithm(
-            "PROBV",
-            pair,
-            window,
-            memory,
-            seed=seed,
+        spec = api.RunSpec(algorithm="PROB", window=window, memory=memory, seed=seed)
+        prob = api.run(spec, pair=pair, estimators=estimators).output_count
+        probv_result = api.run(
+            replace(
+                spec,
+                algorithm="PROBV",
+                variable=None,
+                track_shares=True,
+                share_sample_every=max(1, len(pair) // 200),
+            ),
+            pair=pair,
             estimators=estimators,
-            track_shares=True,
-            share_sample_every=max(1, len(pair) // 200),
         )
         probv = probv_result.output_count
         assert probv_result.shares is not None
@@ -539,8 +516,10 @@ def variable_memory_study(
         r_share = (
             sum(r / max(r + s, 1) for r, s in post_warmup) / max(len(post_warmup), 1)
         )
-        opt = run_algorithm("OPT", pair, window, memory).output_count
-        optv = run_algorithm("OPTV", pair, window, memory).output_count
+        opt = api.run(replace(spec, algorithm="OPT"), pair=pair).output_count
+        optv = api.run(
+            replace(spec, algorithm="OPTV", variable=None), pair=pair
+        ).output_count
         gain = (probv - prob) / max(prob, 1)
         rows.append([z_r, z_s, prob, probv, round(gain * 100, 2), round(r_share, 3), opt, optv])
 
@@ -670,15 +649,8 @@ def arm_study(
     for memory in memory_sweep(window):
         row: list = [memory]
         for name in algorithms:
-            result = run_algorithm(
-                name,
-                pair,
-                window,
-                memory,
-                seed=seed,
-                estimators=estimators,
-                track_survival=True,
-            )
+            spec = api.RunSpec(algorithm=name, window=window, memory=memory, seed=seed)
+            result = api.run(spec, pair=pair, estimators=estimators)
             report = archive_metric(
                 pair,
                 result.r_departures,
@@ -808,9 +780,6 @@ def varying_memory_study(
     def square_wave(t: int) -> int:
         return high if (t // window) % 2 == 0 else low
 
-    from ..core.engine import EngineConfig, JoinEngine
-    from .runner import _policy_for
-
     rows: list[list] = []
     for name in ("RAND", "PROB", "LIFE"):
         outputs = {}
@@ -820,11 +789,13 @@ def varying_memory_study(
             ("high", high, None),
             ("varying", high, square_wave),
         ):
-            config = EngineConfig(
-                window=window, memory=memory, memory_schedule=schedule
+            spec = api.RunSpec(
+                algorithm=name, window=window, memory=memory, seed=seed,
+                memory_schedule=schedule,
             )
-            policy = _policy_for(name, estimators, window, seed)
-            outputs[label] = JoinEngine(config, policy=policy).run(pair).output_count
+            outputs[label] = api.run(
+                spec, pair=pair, estimators=estimators
+            ).output_count
         rows.append(
             [name, outputs["low"], outputs["varying"], outputs["mean"], outputs["high"]]
         )

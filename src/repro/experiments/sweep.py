@@ -10,12 +10,12 @@ the ordering of two algorithms across all seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+from .. import api
 from ..streams.tuples import StreamPair
 from .config import DEFAULT_DOMAIN, Scale, current_scale, even_memory
-from .runner import run_suite
 
 
 @dataclass(frozen=True)
@@ -60,106 +60,79 @@ def sweep_seeds(
     randomised policies vary together, exactly like independent repeats
     of the paper's experiment.
 
-    ``workers`` fans the seeds out over worker processes (see
+    ``workers`` fans the runs out over worker processes (see
     :mod:`repro.runtime`).  The factory runs in the parent either way —
     it may be a lambda, and shipping the generated pair guarantees
     workers see byte-identical inputs — so aggregates are identical to
     the serial sweep.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    counts = _suite_counts(algorithms, pair_factory, window, memory,
-                           seeds=seeds, warmup=warmup, workers=workers)
-    outputs: dict[str, list[int]] = {name: [] for name in algorithms}
-    for per_seed in counts:
-        for name in algorithms:
-            outputs[name].append(per_seed[name])
-    return {name: Aggregate.of(values) for name, values in outputs.items()}
-
-
-def _suite_counts(
-    algorithms: Sequence[str],
-    pair_factory: Callable[[int], StreamPair],
-    window: int,
-    memory: int,
-    *,
-    seeds: Sequence[int],
-    warmup: Optional[int] = None,
-    workers: Optional[int] = None,
-) -> list[dict[str, int]]:
-    """Per-seed ``{algorithm: output_count}`` maps, optionally parallel."""
-    from ..runtime import SuiteCell, parallel_map, resolve_workers, run_suite_cell
-
-    if resolve_workers(workers) <= 1 or len(seeds) <= 1:
-        counts = []
-        for seed in seeds:
-            pair = pair_factory(seed)
-            results = run_suite(
-                algorithms, pair, window, memory, seed=seed, warmup=warmup
-            )
-            counts.append({name: results[name].output_count for name in algorithms})
-        return counts
-
-    cells = [
-        SuiteCell(tuple(algorithms), pair_factory(seed), window, memory,
-                  seed=seed, warmup=warmup)
-        for seed in seeds
-    ]
-    return parallel_map(
-        run_suite_cell,
-        cells,
+    base = api.RunSpec(window=window, memory=memory, warmup=warmup)
+    outputs = _seed_outputs(
+        algorithms,
+        [(replace(base, seed=seed), pair_factory(seed)) for seed in seeds],
         workers=workers,
-        labels=[cell.label for cell in cells],
     )
+    return {name: Aggregate.of(values) for name, values in outputs.items()}
 
 
 def sweep_specs(
     algorithms: Sequence[str],
-    base_spec,
+    base_spec: api.RunSpec,
     *,
     seeds: Sequence[int],
     workers: Optional[int] = None,
 ) -> dict[str, Aggregate]:
-    """Seed sweep through the unified :func:`repro.run` entry point.
+    """Seed sweep over a full :class:`~repro.api.RunSpec`.
 
-    :func:`sweep_seeds` drives the suite runner directly and is the
-    fast path for plain engine sweeps.  This variant routes every cell
-    through ``run()`` instead, so the sweep honours the full
-    :class:`~repro.api.RunSpec` surface — sharded execution,
+    The sweep honours the whole spec surface — sharded execution,
     checkpointing, retries, graceful degradation — with the same flags
-    the ``run`` and ``compare`` verbs take.  One cell per
-    ``(seed, algorithm)``; each worker executes its spec serially
-    (a sharded spec's shards run inside that worker — the grid is
-    already fanned out).
+    the ``run`` and ``compare`` verbs take; each seed's workload is
+    ``build_pair`` of the seeded spec.  A sharded spec's shards run
+    inside the worker that runs its cell (the grid is already fanned
+    out).
     """
-    from dataclasses import replace
+    seeded = []
+    for seed in seeds:
+        spec = replace(base_spec, seed=seed)
+        seeded.append((spec, api.build_pair(spec)))
+    outputs = _seed_outputs(algorithms, seeded, workers=workers)
+    return {name: Aggregate.of(values) for name, values in outputs.items()}
 
-    from ..api import build_pair
+
+def _seed_outputs(
+    algorithms: Sequence[str],
+    seeded: Sequence[tuple[api.RunSpec, StreamPair]],
+    *,
+    workers: Optional[int] = None,
+) -> dict[str, list[int]]:
+    """``{algorithm: [output per seed]}`` over ``(seeded spec, pair)``s.
+
+    The one seed-sweep loop: one :class:`~repro.runtime.SpecCell` per
+    ``(seed, algorithm)``, fanned out by :func:`~repro.runtime.parallel_map`
+    (a plain loop for one worker).
+    """
     from ..runtime import SpecCell, parallel_map, run_spec_cell
 
-    if not seeds:
+    if not seeded:
         raise ValueError("need at least one seed")
-    cells = []
-    for seed in seeds:
-        seeded = replace(base_spec, seed=seed)
-        pair = build_pair(seeded)
-        for name in algorithms:
-            cells.append(
-                SpecCell(replace(seeded, algorithm=name, variable=None), pair)
-            )
-    results = parallel_map(
-        run_spec_cell,
-        cells,
-        workers=workers,
-        labels=[cell.label for cell in cells],
+    cells = [
+        SpecCell(replace(spec, algorithm=name, variable=None), pair)
+        for spec, pair in seeded
+        for name in algorithms
+    ]
+    results = iter(
+        parallel_map(
+            run_spec_cell,
+            cells,
+            workers=workers,
+            labels=[cell.label for cell in cells],
+        )
     )
     outputs: dict[str, list[int]] = {name: [] for name in algorithms}
-    index = 0
-    for _seed in seeds:
+    for _seeded in seeded:
         for name in algorithms:
-            outputs[name].append(results[index].output_count)
-            index += 1
-    return {name: Aggregate.of(values) for name, values in outputs.items()}
+            outputs[name].append(next(results).output_count)
+    return outputs
 
 
 def dominance_count(
@@ -203,18 +176,17 @@ def variance_study(
     def factory(seed: int) -> StreamPair:
         return zipf_pair(scale.stream_length, DEFAULT_DOMAIN, 1.0, seed=seed)
 
-    counts = _suite_counts(
-        algorithms, factory, window, memory, seeds=seeds, workers=workers
-    )
-    fractions: dict[str, list[float]] = {name: [] for name in algorithms}
-    raw: dict[str, list[int]] = {name: [] for name in algorithms}
-    for seed, per_seed in zip(seeds, counts):
-        exact = max(
-            exact_join_size(factory(seed), window, count_from=2 * window), 1
-        )
-        for name in algorithms:
-            raw[name].append(per_seed[name])
-            fractions[name].append(per_seed[name] / exact)
+    base = api.RunSpec(window=window, memory=memory)
+    seeded = [(replace(base, seed=seed), factory(seed)) for seed in seeds]
+    raw = _seed_outputs(algorithms, seeded, workers=workers)
+    exacts = [
+        max(exact_join_size(pair, window, count_from=2 * window), 1)
+        for _spec, pair in seeded
+    ]
+    fractions = {
+        name: [count / exact for count, exact in zip(raw[name], exacts)]
+        for name in algorithms
+    }
 
     rows: list[list] = []
     for name in algorithms:

@@ -13,38 +13,26 @@ implementation:
 """
 
 from .bellman_ford import NegativeCycleError, has_negative_cycle, shortest_paths
-from .cost_scaling import InfeasibleFlowError, solve_cost_scaling
 from .dag import shortest_distances_from, topological_order
-from .maxflow import max_flow
 from .network import Arc, FlowNetwork, FlowResult
 from .residual import ResidualGraph
 from .ssp import UnbalancedNetworkError, solve_min_cost_flow
 from .validation import assert_valid, check_feasible, check_optimal, recompute_cost
 
-#: Named min-cost flow solvers (both exact; see their modules).
-SOLVERS = {
-    "ssp": solve_min_cost_flow,
-    "cost_scaling": solve_cost_scaling,
-}
-
 __all__ = [
     "Arc",
     "FlowNetwork",
     "FlowResult",
-    "InfeasibleFlowError",
     "NegativeCycleError",
     "ResidualGraph",
-    "SOLVERS",
     "UnbalancedNetworkError",
     "assert_valid",
     "check_feasible",
     "check_optimal",
     "has_negative_cycle",
-    "max_flow",
     "recompute_cost",
     "shortest_distances_from",
     "shortest_paths",
-    "solve_cost_scaling",
     "solve_min_cost_flow",
     "topological_order",
 ]

@@ -247,45 +247,26 @@ def regret_by_policy(
 ) -> dict:
     """Run each policy on one shared workload with tracing, attribute.
 
-    Returns ``{policy: AttributionReport}``; every report carries the
-    shared EXACT output so :func:`format_regret_table` can show the
-    gaps the paper's Figures 3–7 plot, decision by decision.  Imports
-    live inside the function so :mod:`repro.obs` stays import-light.
+    Returns ``{policy: AttributionReport}``, one
+    :func:`repro.api.attribute_run` per algorithm over the shared pair
+    (``sink_capacity`` is each run's ``trace_capacity``); every report
+    carries the shared EXACT output so :func:`format_regret_table` can
+    show the gaps the paper's Figures 3–7 plot, decision by decision.
+    Imports live inside the function so :mod:`repro.obs` stays
+    import-light.
     """
-    from ..experiments.runner import estimators_for, run_algorithm
+    from ..api import RunSpec, attribute_run
     from ..streams import zipf_pair
-    from ..streams.tuples import exact_join_size
-    from .trace import RingBufferSink, Tracer
 
     if pair is None:
         pair = zipf_pair(length, domain, skew, seed=seed)
-    if warmup is None:
-        warmup = 2 * window
-    estimators = estimators_for(pair)
-    exact = exact_join_size(pair, window, count_from=warmup)
-
     reports: dict = {}
     for name in algorithms:
-        tracer = Tracer(RingBufferSink(sink_capacity))
-        result = run_algorithm(
-            name, pair, window, memory,
-            seed=seed, warmup=warmup, estimators=estimators, trace=tracer,
+        spec = RunSpec(
+            algorithm=name, window=window, memory=memory, seed=seed,
+            warmup=warmup, trace_capacity=sink_capacity,
         )
-        if tracer.sink.dropped:
-            raise RuntimeError(
-                f"{name}: ring buffer dropped {tracer.sink.dropped} events; "
-                "raise sink_capacity for a complete attribution"
-            )
-        label = name if name == "EXACT" else result.policy_name
-        reports[label] = attribute_trace(
-            result.trace,
-            pair,
-            window,
-            warmup=warmup,
-            policy=label,
-            exact_output=exact,
-            observed_output=result.output_count,
-        )
+        reports[spec.algorithm] = attribute_run(spec, pair=pair)
     return reports
 
 

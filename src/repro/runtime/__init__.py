@@ -15,16 +15,7 @@ retries and injected faults.
 """
 
 from . import faults
-from .cells import (
-    AlgorithmCell,
-    ShardCell,
-    SpecCell,
-    SuiteCell,
-    run_algorithm_cell,
-    run_shard_cell,
-    run_spec_cell,
-    run_suite_cell,
-)
+from .cells import ShardCell, SpecCell, run_shard_cell, run_spec_cell
 from .checkpoint import CheckpointStore
 from .faults import Fault, FaultPlan, InjectedFault
 from .pool import (
@@ -37,7 +28,6 @@ from .pool import (
 )
 
 __all__ = [
-    "AlgorithmCell",
     "CellError",
     "CheckpointStore",
     "ENV_WORKERS",
@@ -47,13 +37,10 @@ __all__ = [
     "RetryPolicy",
     "ShardCell",
     "SpecCell",
-    "SuiteCell",
     "autotune_chunksize",
     "faults",
     "parallel_map",
     "resolve_workers",
-    "run_algorithm_cell",
     "run_shard_cell",
     "run_spec_cell",
-    "run_suite_cell",
 ]

@@ -9,20 +9,18 @@ input).  Estimators are rebuilt inside the worker from the pair's
 metadata; :func:`repro.experiments.runner.estimators_for` is a pure
 function of the pair, so the rebuild is exact.
 
-Each cell type has a module-level ``run_*_cell`` function (pool workers
-cannot pickle lambdas or methods).  Metrics: a worker cannot mutate the
-parent's :class:`~repro.obs.MetricsRegistry`, so cells carry a
-``with_metrics`` flag instead; the worker runs against a fresh registry,
-the engine attaches its snapshot to the result, and the caller merges
-the snapshots back via
-:meth:`~repro.obs.MetricsRegistry.merge_snapshot`.  One visible
-difference from serial runs: each result's snapshot then covers only its
-own run, not the accumulated suite.
+There are two cell types, each with a module-level ``run_*_cell``
+function (pool workers cannot pickle lambdas or methods):
+:class:`SpecCell` runs one :class:`~repro.api.RunSpec` (the grid cells
+of ``api.compare``, the seed sweeps and the figure grids) and
+:class:`ShardCell` one hash shard of a sharded spec.  Metrics ride in the
+spec (``metrics=True``): each result carries the snapshot of its own
+run, in a worker process exactly as in a serial loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..streams.tuples import StreamPair
@@ -102,76 +100,3 @@ def run_shard_cell(cell: ShardCell):
 
     telemetry.annotate(shard=cell.shard)
     return _run_join_shard(cell.spec, cell.pair, cell.shard, cell.budget)
-
-
-@dataclass(frozen=True)
-class AlgorithmCell:
-    """One named algorithm of a suite run (grid axis: algorithm)."""
-
-    name: str
-    pair: StreamPair
-    window: int
-    memory: int
-    seed: int
-    warmup: Optional[int] = None
-    with_metrics: bool = False
-    kwargs: dict = field(default_factory=dict)
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}(w={self.window},M={self.memory},seed={self.seed})"
-
-
-def run_algorithm_cell(cell: AlgorithmCell):
-    """Worker entry: run one algorithm cell, metrics into a fresh registry."""
-    from ..experiments.runner import estimators_for, run_algorithm
-    from ..obs import MetricsRegistry
-
-    metrics = MetricsRegistry() if cell.with_metrics else None
-    return run_algorithm(
-        cell.name,
-        cell.pair,
-        cell.window,
-        cell.memory,
-        seed=cell.seed,
-        warmup=cell.warmup,
-        estimators=estimators_for(cell.pair),
-        metrics=metrics,
-        **cell.kwargs,
-    )
-
-
-@dataclass(frozen=True)
-class SuiteCell:
-    """One whole algorithm suite on one workload (grid axis: seed)."""
-
-    algorithms: tuple
-    pair: StreamPair
-    window: int
-    memory: int
-    seed: int
-    warmup: Optional[int] = None
-
-    @property
-    def label(self) -> str:
-        return f"suite(w={self.window},M={self.memory},seed={self.seed})"
-
-
-def run_suite_cell(cell: SuiteCell) -> dict[str, int]:
-    """Worker entry: run one suite cell, return per-algorithm outputs.
-
-    Only the headline output counts cross the process boundary — the
-    seed-sweep aggregates need nothing else, and full results would
-    pickle survival arrays per run.
-    """
-    from ..experiments.runner import run_suite
-
-    results = run_suite(
-        cell.algorithms,
-        cell.pair,
-        cell.window,
-        cell.memory,
-        seed=cell.seed,
-        warmup=cell.warmup,
-    )
-    return {name: results[name].output_count for name in cell.algorithms}

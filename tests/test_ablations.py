@@ -7,7 +7,6 @@ from repro.core.policies import ProbPolicy, SidePolicies
 from repro.experiments.ablations import (
     drift_ablation,
     predictor_quality_ablation,
-    solver_ablation,
     statistics_ablation,
 )
 from repro.stats import EwmaFrequencyEstimator, OnlineFrequencyCounter
@@ -84,10 +83,3 @@ class TestDriftAblation:
         assert outputs["EWMA (alpha=0.02)"] > outputs["static table (first phase)"]
         assert outputs["static table (first phase)"] > outputs["RAND"]
 
-
-class TestSolverAblation:
-    def test_solvers_agree(self, tiny_scale):
-        table = solver_ablation(tiny_scale, seed=0)
-        outputs = table.column("OPT output")
-        assert outputs[0] == outputs[1]
-        assert set(table.column("solver")) == {"ssp", "cost_scaling"}

@@ -157,6 +157,35 @@ class TestUnifiedEntrypoint:
             legacy = run_sharded(spec)
         assert legacy.output_count == run(spec).output_count
 
+    def test_only_api_builds_a_join_engine(self):
+        """One front door: outside ``repro/core`` only ``api.py`` calls
+        ``JoinEngine(...)``, and the runtime ships two cell types."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        builders = set()
+        for path in root.rglob("*.py"):
+            module = path.relative_to(root)
+            if module.parts[0] == "core":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None
+                    )
+                    if name == "JoinEngine":
+                        builders.add(module.as_posix())
+        assert builders == {"api.py"}
+        cells = ast.parse((root / "runtime" / "cells.py").read_text())
+        cell_types = {
+            node.name for node in cells.body if isinstance(node, ast.ClassDef)
+        }
+        assert cell_types == {"SpecCell", "ShardCell"}
+
     def test_run_itself_never_warns(self):
         import warnings
 
@@ -186,11 +215,21 @@ class TestFaultToleranceValidation:
             (dict(timeout_s=0), "timeout_s"),
             (dict(checkpoint_every=0), "checkpoint_every"),
             (dict(checkpoint_dir="/tmp/x"), "checkpoint_dir"),
+            # The fast engine's per-tuple options: unsharded fast-CPU
+            # runs of an online algorithm only.
+            (dict(shards=1, engine="async", materialize=True), "materialize"),
+            (dict(shards=1, engine="slowcpu", track_shares=True), "track_shares"),
+            (dict(track_survival=False), "track_survival"),
+            (dict(shards=1, algorithm="OPT", share_sample_every=4),
+             "share_sample_every"),
+            (dict(shards=1, algorithm="OPTV", memory_schedule=[10] * 300),
+             "memory_schedule"),
         ],
     )
     def test_knob_values_validated(self, knob, match):
+        params = {"algorithm": "PROB", "shards": 2, **knob}
         with pytest.raises(ValueError, match=match):
-            small_spec("PROB", shards=2, **knob)
+            small_spec(params.pop("algorithm"), **params)
 
 
 class TestResultSchema:

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.archive import ArchiveStore, refine_from_archive
-from repro.core.exact import run_exact
 from repro.core.metrics.archive import archive_metric
-from repro.experiments.runner import run_algorithm
 from repro.streams import StreamPair, zipf_pair
 
 
@@ -13,7 +12,7 @@ class TestArchiveMetric:
     def test_exact_run_has_zero_arm(self):
         pair = zipf_pair(200, 6, 1.0, seed=1)
         window = 15
-        result = run_algorithm("EXACT", pair, window, 0, track_survival=True)
+        result = run(RunSpec(algorithm="EXACT", window=window), pair=pair)
         report = archive_metric(
             pair, result.r_departures, result.s_departures, window
         )
@@ -23,7 +22,7 @@ class TestArchiveMetric:
     def test_shed_run_has_positive_arm(self):
         pair = zipf_pair(200, 6, 1.0, seed=2)
         window = 15
-        result = run_algorithm("RAND", pair, window, 4, track_survival=True)
+        result = run(RunSpec(algorithm="RAND", window=window, memory=4), pair=pair)
         report = archive_metric(
             pair, result.r_departures, result.s_departures, window
         )
@@ -76,7 +75,7 @@ class TestArchiveMetric:
         window, memory = 40, 20
 
         def arm_of(name):
-            result = run_algorithm(name, pair, window, memory, track_survival=True)
+            result = run(RunSpec(algorithm=name, window=window, memory=memory), pair=pair)
             return archive_metric(
                 pair, result.r_departures, result.s_departures, window,
                 count_from=2 * window,
@@ -119,11 +118,12 @@ class TestRefinement:
         """The load-smoothing guarantee: refinement completes the join."""
         pair = zipf_pair(300, 6, 1.0, seed=4)
         window, memory = 15, 6
-        day = run_algorithm(
-            "PROB", pair, window, memory, materialize=True, track_survival=True
+        day = run(
+            RunSpec(algorithm="PROB", window=window, memory=memory, materialize=True),
+            pair=pair,
         )
         night = refine_from_archive(pair, day)
-        exact = run_exact(pair, window, materialize=True)
+        exact = run(RunSpec(algorithm="EXACT", window=window, materialize=True), pair=pair)
 
         produced = {(p.r_arrival, p.s_arrival) for p in day.pairs}
         missing = {(p.r_arrival, p.s_arrival) for p in night.missing_pairs}
@@ -136,19 +136,19 @@ class TestRefinement:
         """Figure 3's ci-scale workload (seed 1) with PROB at M = w/2."""
         pair = zipf_pair(900, 50, 1.0, seed=1)
         window = 60
-        day = run_algorithm(
-            "PROB", pair, window, 30, materialize=True, track_survival=True
+        day = run(
+            RunSpec(algorithm="PROB", window=window, memory=30, materialize=True),
+            pair=pair,
         )
         night = refine_from_archive(pair, day)
-        assert day.output_count + night.missing_count == run_exact(pair, window).output_count
+        exact = run(RunSpec(algorithm="EXACT", window=window), pair=pair)
+        assert day.output_count + night.missing_count == exact.output_count
         assert night.archive_reads >= night.missing_count > 0
 
     def test_exact_day_needs_no_refinement(self):
         pair = zipf_pair(200, 6, 1.0, seed=5)
         window = 12
-        day = run_algorithm(
-            "EXACT", pair, window, 0, materialize=True, track_survival=True
-        )
+        day = run(RunSpec(algorithm="EXACT", window=window, materialize=True), pair=pair)
         night = refine_from_archive(pair, day)
         assert night.missing_count == 0
         assert night.incomplete_tuples == 0
@@ -159,17 +159,20 @@ class TestRefinement:
         window = 15
         tight = refine_from_archive(
             pair,
-            run_algorithm("RAND", pair, window, 4, track_survival=True, seed=1),
+            run(RunSpec(algorithm="RAND", window=window, memory=4, seed=1), pair=pair),
         )
         roomy = refine_from_archive(
             pair,
-            run_algorithm("RAND", pair, window, 20, track_survival=True, seed=1),
+            run(RunSpec(algorithm="RAND", window=window, memory=20, seed=1), pair=pair),
         )
         assert tight.incomplete_tuples > roomy.incomplete_tuples
         assert tight.missing_count > roomy.missing_count
 
     def test_requires_survival_tracking(self):
         pair = zipf_pair(50, 4, 1.0, seed=7)
-        day = run_algorithm("RAND", pair, 5, 4, track_survival=False)
+        day = run(
+            RunSpec(algorithm="RAND", window=5, memory=4, track_survival=False),
+            pair=pair,
+        )
         with pytest.raises(ValueError, match="track_survival"):
             refine_from_archive(pair, day)

@@ -172,6 +172,17 @@ class TestReconciliation:
         assert report.reconciles()
         assert report.policy == "PROB"
 
+    def test_truncated_trace_raises(self):
+        spec = RunSpec(
+            algorithm="PROB", window=20, memory=10, length=400, trace_capacity=500
+        )
+        with pytest.raises(RuntimeError, match="ring buffer dropped 1622 events"):
+            attribute_run(spec)
+        with pytest.raises(RuntimeError, match="ring buffer dropped 1622 events"):
+            regret_by_policy(
+                ["PROB"], window=20, memory=10, length=400, sink_capacity=500
+            )
+
     def test_attribute_run_rejects_queue_engines(self):
         with pytest.raises(ValueError, match="fast-CPU"):
             attribute_run(RunSpec(algorithm="PROB", engine="slowcpu"))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import RunSpec, run
 from repro.core.batched import exact_stream_counts
-from repro.experiments.runner import ALL_ALGORITHMS, estimators_for, run_algorithm
+from repro.experiments.runner import ALL_ALGORITHMS, estimators_for
 from repro.stats.frequency import OnlineFrequencyCounter
 from repro.streams.sources import PairSource, ZipfSource, take_pair
 from repro.streams.tuples import StreamPair
@@ -24,7 +24,7 @@ EMPTY = StreamPair(r=[], s=[], name="empty")
 class TestEmptyPairRuns:
     @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
     def test_every_algorithm_handles_an_empty_pair(self, algorithm):
-        result = run_algorithm(algorithm, EMPTY, window=10, memory=4)
+        result = run(RunSpec(algorithm=algorithm, window=10, memory=4), pair=EMPTY)
         assert result.output_count == 0
         summary = result.summary()
         assert summary.output_count == 0

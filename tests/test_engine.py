@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CapacityExceededError, EngineConfig, JoinEngine, run_exact
+from repro.api import RunSpec, run
+from repro.core import CapacityExceededError, EngineConfig, JoinEngine
 from repro.core.policies import ProbPolicy, RandomEvictionPolicy, SidePolicies
-from repro.experiments.runner import estimators_for, run_algorithm
+from repro.experiments.runner import estimators_for
+from repro.obs import MetricsRegistry
 from repro.streams import StreamPair, exact_join_size, zipf_pair
 
 
@@ -50,20 +52,23 @@ class TestEngineConfig:
 class TestExactReference:
     def test_matches_direct_computation(self, small_zipf_pair):
         window = 25
-        result = run_exact(small_zipf_pair, window)
+        result = run(RunSpec(algorithm="EXACT", window=window), pair=small_zipf_pair)
         assert result.output_count == exact_join_size(
             small_zipf_pair, window, count_from=2 * window
         )
 
     def test_total_output_includes_warmup(self, small_zipf_pair):
         window = 25
-        result = run_exact(small_zipf_pair, window)
+        result = run(RunSpec(algorithm="EXACT", window=window), pair=small_zipf_pair)
         assert result.total_output_count == exact_join_size(small_zipf_pair, window)
         assert result.total_output_count >= result.output_count
 
     def test_materialized_pairs_match_count(self, small_zipf_pair):
         window = 20
-        result = run_exact(small_zipf_pair, window, materialize=True)
+        result = run(
+            RunSpec(algorithm="EXACT", window=window, materialize=True),
+            pair=small_zipf_pair,
+        )
         assert len(result.pairs) == result.output_count
         for pair_result in result.pairs:
             assert abs(pair_result.r_arrival - pair_result.s_arrival) < window
@@ -73,7 +78,7 @@ class TestExactReference:
     @given(seed=st.integers(0, 500), window=st.integers(2, 15))
     def test_exact_engine_equals_direct_for_any_input(self, seed, window):
         pair = zipf_pair(120, 6, 1.0, seed=seed)
-        result = run_exact(pair, window)
+        result = run(RunSpec(algorithm="EXACT", window=window), pair=pair)
         assert result.output_count == exact_join_size(pair, window, count_from=2 * window)
 
 
@@ -126,9 +131,15 @@ class TestShedding:
 
     def test_output_bounded_by_exact(self, small_zipf_pair):
         window = 25
-        exact = run_exact(small_zipf_pair, window).output_count
+        exact = run(
+            RunSpec(algorithm="EXACT", window=window),
+            pair=small_zipf_pair,
+        ).output_count
         for name in ("RAND", "PROB", "LIFE", "RANDV", "PROBV", "LIFEV"):
-            result = run_algorithm(name, small_zipf_pair, window, 10, seed=3)
+            result = run(
+                RunSpec(algorithm=name, window=window, memory=10, seed=3),
+                pair=small_zipf_pair,
+            )
             assert 0 <= result.output_count <= exact
 
     def test_memory_never_exceeded_with_validation(self, small_zipf_pair):
@@ -147,7 +158,10 @@ class TestShedding:
 
     def test_drop_accounting_balances(self, small_zipf_pair):
         window = 25
-        result = run_algorithm("RAND", small_zipf_pair, window, 10, seed=1)
+        result = run(
+            RunSpec(algorithm="RAND", window=window, memory=10, seed=1),
+            pair=small_zipf_pair,
+        )
         for stream in ("R", "S"):
             counts = result.drop_counts[stream]
             # Every tuple is eventually rejected, evicted, or expired
@@ -158,21 +172,25 @@ class TestShedding:
         pair = zipf_pair(150, 6, 1.0, seed=11)
         window = 12
         for name in ("RAND", "PROB", "LIFE"):
-            result = run_algorithm(
-                name, pair, window, 6, seed=2, track_survival=True
+            result = run(
+                RunSpec(algorithm=name, window=window, memory=6, seed=2),
+                pair=pair,
             )
             assert recount_from_departures(pair, result) == result.output_count
 
     def test_survival_records_variable_mode(self):
         pair = zipf_pair(150, 6, 1.0, seed=12)
-        result = run_algorithm("PROBV", pair, 12, 7, track_survival=True)
+        result = run(RunSpec(algorithm="PROBV", window=12, memory=7), pair=pair)
         assert recount_from_departures(pair, result) == result.output_count
 
     def test_materialized_pairs_are_subset_of_exact(self):
         pair = zipf_pair(150, 6, 1.0, seed=13)
         window = 12
-        exact = run_exact(pair, window, materialize=True)
-        approx = run_algorithm("PROB", pair, window, 6, materialize=True)
+        exact = run(RunSpec(algorithm="EXACT", window=window, materialize=True), pair=pair)
+        approx = run(
+            RunSpec(algorithm="PROB", window=window, memory=6, materialize=True),
+            pair=pair,
+        )
         exact_set = set((p.r_arrival, p.s_arrival) for p in exact.pairs)
         approx_set = set((p.r_arrival, p.s_arrival) for p in approx.pairs)
         assert approx_set <= exact_set
@@ -210,8 +228,12 @@ class TestAccountingDetails:
         assert result.output_count == 1  # |0-2| = 2 < 3
 
     def test_share_tracking(self, small_zipf_pair):
-        result = run_algorithm(
-            "PROBV", small_zipf_pair, 20, 10, track_shares=True, share_sample_every=5
+        result = run(
+            RunSpec(
+                algorithm="PROBV", window=20, memory=10,
+                track_shares=True, share_sample_every=5,
+            ),
+            pair=small_zipf_pair,
         )
         assert result.shares is not None
         assert all(r + s <= 10 for _, r, s in result.shares)
@@ -219,7 +241,7 @@ class TestAccountingDetails:
         assert all(0.0 <= f <= 1.0 for _, f in fractions)
 
     def test_share_fraction_requires_tracking(self, small_zipf_pair):
-        result = run_algorithm("PROB", small_zipf_pair, 20, 10)
+        result = run(RunSpec(algorithm="PROB", window=20, memory=10), pair=small_zipf_pair)
         with pytest.raises(ValueError, match="track_shares"):
             result.share_fraction_r()
 
@@ -233,15 +255,16 @@ class TestFastLoopDispatch:
     ALGORITHMS = ("RAND", "PROB", "PROBV", "LIFE", "ARM", "FIFO")
 
     def _run(self, name, pair, **kwargs):
-        return run_algorithm(name, pair, 25, 12, seed=3, **kwargs)
+        return run(
+            RunSpec(algorithm=name, window=25, memory=12, seed=3, **kwargs),
+            pair=pair,
+        )
 
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_plain_metrics_and_general_agree(self, name):
-        from repro.obs import MetricsRegistry
-
         pair = zipf_pair(600, 40, 1.0, seed=3)
         plain = self._run(name, pair)
-        timed = self._run(name, pair, metrics=MetricsRegistry())
+        timed = self._run(name, pair, metrics=True)
         # materialize=True forces the general loop (it collects pairs).
         general = self._run(name, pair, materialize=True)
         for other in (timed, general):
@@ -251,11 +274,9 @@ class TestFastLoopDispatch:
             assert plain.s_departures == other.s_departures
 
     def test_metrics_counters_match_result(self):
-        from repro.obs import MetricsRegistry
-
         pair = zipf_pair(600, 40, 1.0, seed=3)
-        registry = MetricsRegistry()
-        result = self._run("PROB", pair, metrics=registry)
+        result = self._run("PROB", pair, metrics=True)
+        registry = MetricsRegistry.from_snapshot(result.metrics)
         assert registry.counter_total("engine.output") == result.output_count
         assert registry.counter_total("engine.arrivals") == 2 * len(pair)
         drops = result.drop_breakdown()

@@ -9,16 +9,20 @@ copies and feeds them in the kernel's order, so agreement also pins the
 sketch's cached estimates to what the policies would compute afresh.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunSpec, run
 from repro.core.engine import EngineConfig, JoinEngine
 from repro.core.policies import make_policy_spec
-from repro.experiments.runner import estimators_for, run_algorithm
+from repro.experiments.runner import estimators_for
 from repro.stats import CountMinSketch, EwmaFrequencyEstimator
 from repro.streams import zipf_pair
 from repro.streams.sources import PairSource
 from repro.streams.tuples import StreamPair
+from tests.loops import kernel_run
 from tests.reference_engine import NaiveCountMin, NaiveResult, naive_run
 
 
@@ -33,25 +37,20 @@ def ledger(result):
 def path_outputs(name, pair, window, memory, estimators=None):
     """Output and drop ledger of every loop a pair can reach: the
     default path (a columnar lane for every wiring the fuzzers draw),
-    the lanes at chunk size 7, the kernel loop (``force_general`` pins
+    the lanes at chunk size 7, the kernel loop (``kernel_run`` pins
     it; ``materialize`` forces it and lists the pairs), and the same
     three over the incremental source path."""
-    def run(**extra):
-        return run_algorithm(
-            name, pair, window, memory, estimators=estimators, **extra
-        )
-
-    def run_source(**extra):
-        return run(source=PairSource(pair), until=len(pair), **extra)
-
+    spec = RunSpec(algorithm=name, window=window, memory=memory)
+    source = replace(spec, source=PairSource(pair), duration=len(pair))
+    on_pair = dict(pair=pair, estimators=estimators)
     runs = {
-        "default": run(),
-        "batch": run(batch_size=7),
-        "kernel": run(force_general=True),
-        "materialize": run(materialize=True),
-        "source": run_source(),
-        "batch_source": run_source(batch_size=7),
-        "kernel_source": run_source(force_general=True),
+        "default": run(spec, **on_pair),
+        "batch": run(replace(spec, batch_size=7), **on_pair),
+        "kernel": kernel_run(spec, **on_pair),
+        "materialize": run(replace(spec, materialize=True), **on_pair),
+        "source": run(source, estimators=estimators),
+        "batch_source": run(replace(source, batch_size=7), estimators=estimators),
+        "kernel_source": kernel_run(source, estimators=estimators),
     }
     assert len(runs["materialize"].pairs) == runs["materialize"].output_count
     return {path: ledger(result) for path, result in runs.items()}

@@ -1,7 +1,8 @@
-"""Tests for the experiment harness: config, runner, reporting."""
+"""Tests for the experiment harness: config, algorithm names, reporting."""
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.experiments import (
     ALL_ALGORITHMS,
     SCALES,
@@ -11,9 +12,6 @@ from repro.experiments import (
     format_figure,
     format_table,
     memory_sweep,
-    output_counts,
-    run_algorithm,
-    run_suite,
 )
 from repro.experiments.figures import FigureData, Series, TableData
 from repro.streams import StreamPair, weather_pair, zipf_pair
@@ -70,39 +68,38 @@ class TestEstimators:
 
 
 class TestRunner:
+    """Every named algorithm through ``repro.api.run`` over a given pair."""
+
     def test_all_algorithms_run(self, small_zipf_pair):
         for name in ALL_ALGORITHMS:
-            result = run_algorithm(name, small_zipf_pair, 20, 10, seed=1)
-            assert result.output_count >= 0
+            spec = RunSpec(algorithm=name, window=20, memory=10, seed=1)
+            assert run(spec, pair=small_zipf_pair).output_count >= 0
 
-    def test_unknown_algorithm_rejected(self, small_zipf_pair):
+    def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_algorithm("FANCY", small_zipf_pair, 20, 10)
+            RunSpec(algorithm="FANCY", window=20, memory=10)
 
     def test_exact_ignores_memory(self, small_zipf_pair):
-        a = run_algorithm("EXACT", small_zipf_pair, 20, 2)
-        b = run_algorithm("EXACT", small_zipf_pair, 20, 999)
+        a = run(RunSpec(algorithm="EXACT", window=20, memory=2), pair=small_zipf_pair)
+        b = run(RunSpec(algorithm="EXACT", window=20, memory=999), pair=small_zipf_pair)
         assert a.output_count == b.output_count
 
-    def test_run_suite_and_output_counts(self, small_zipf_pair):
-        results = run_suite(("RAND", "PROB", "OPT"), small_zipf_pair, 20, 10, seed=2)
-        counts = output_counts(results)
-        assert set(counts) == {"RAND", "PROB", "OPT"}
-        assert counts["PROB"] <= counts["OPT"]
-
     def test_determinism(self, small_zipf_pair):
-        a = run_algorithm("RAND", small_zipf_pair, 20, 10, seed=9)
-        b = run_algorithm("RAND", small_zipf_pair, 20, 10, seed=9)
+        spec = RunSpec(algorithm="RAND", window=20, memory=10, seed=9)
+        a = run(spec, pair=small_zipf_pair)
+        b = run(spec, pair=small_zipf_pair)
         assert a.output_count == b.output_count
 
     def test_seed_changes_rand(self, small_zipf_pair):
-        a = run_algorithm("RAND", small_zipf_pair, 20, 10, seed=1)
-        b = run_algorithm("RAND", small_zipf_pair, 20, 10, seed=2)
+        a = run(RunSpec(algorithm="RAND", window=20, memory=10, seed=1), pair=small_zipf_pair)
+        b = run(RunSpec(algorithm="RAND", window=20, memory=10, seed=2), pair=small_zipf_pair)
         assert a.output_count != b.output_count  # overwhelmingly likely
 
     def test_warmup_override(self, small_zipf_pair):
-        default = run_algorithm("PROB", small_zipf_pair, 20, 10)
-        from_zero = run_algorithm("PROB", small_zipf_pair, 20, 10, warmup=0)
+        spec = RunSpec(algorithm="PROB", window=20, memory=10)
+        default = run(spec, pair=small_zipf_pair)
+        from_zero = run(RunSpec(algorithm="PROB", window=20, memory=10, warmup=0),
+                        pair=small_zipf_pair)
         assert from_zero.output_count >= default.output_count
 
 

@@ -1,11 +1,13 @@
 """Tests for the FIFO baseline policy and the multi-seed sweep utility."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import RunSpec, compare, run
 from repro.core import EngineConfig, JoinEngine
 from repro.core.memory import JoinMemory, TupleRecord
 from repro.core.policies import FifoPolicy, SidePolicies
-from repro.experiments import run_algorithm
 from repro.experiments.sweep import Aggregate, sweep_seeds, variance_study
 from repro.streams import zipf_pair
 
@@ -23,7 +25,7 @@ class TestFifoPolicy:
         assert policy.choose_victim(candidate, 2) is first
 
     def test_always_admits(self, small_zipf_pair):
-        result = run_algorithm("FIFO", small_zipf_pair, 20, 10)
+        result = run(RunSpec(algorithm="FIFO", window=20, memory=10), pair=small_zipf_pair)
         assert result.drop_counts["R"]["rejected"] == 0
         assert result.drop_counts["S"]["rejected"] == 0
 
@@ -31,7 +33,7 @@ class TestFifoPolicy:
         """FIFO with per-side budget m behaves as a window of size m."""
         pair = zipf_pair(300, 8, 1.0, seed=5)
         window, memory = 20, 10
-        fifo = run_algorithm("FIFO", pair, window, memory)
+        fifo = run(RunSpec(algorithm="FIFO", window=window, memory=memory), pair=pair)
         # A window of m = M/2 = 5, but probes still governed by w=20 for
         # expiry; since m < w the memory constraint binds: every tuple
         # survives exactly m arrivals of its own stream.
@@ -57,15 +59,17 @@ class TestFifoPolicy:
         assert result.output_count >= 0
 
     def test_variable_mode(self, small_zipf_pair):
-        result = run_algorithm("FIFOV", small_zipf_pair, 20, 9)
+        result = run(RunSpec(algorithm="FIFOV", window=20, memory=9), pair=small_zipf_pair)
         assert result.output_count > 0
 
     def test_tracks_rand_on_iid_inputs(self):
         pair = zipf_pair(800, 50, 1.0, seed=7)
         window, memory = 40, 20
-        fifo = run_algorithm("FIFO", pair, window, memory).output_count
-        rand = run_algorithm("RAND", pair, window, memory, seed=1).output_count
-        prob = run_algorithm("PROB", pair, window, memory).output_count
+        spec = RunSpec(algorithm="PROB", window=window, memory=memory)
+        results = compare([spec, "FIFO", replace(spec, algorithm="RAND", seed=1)], pair=pair)
+        fifo = results["FIFO"].output_count
+        prob = results["PROB"].output_count
+        rand = results["RAND"].output_count
         assert abs(fifo - rand) / max(rand, 1) < 0.35
         assert prob > 1.5 * fifo
 

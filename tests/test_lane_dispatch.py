@@ -16,7 +16,6 @@ import pytest
 from repro import cli
 from repro.api import RunSpec, run
 from repro.core.engine import EngineConfig, JoinEngine
-from repro.experiments.runner import run_algorithm
 from repro.stats.frequency import StaticFrequencyTable
 from repro.streams import zipf_pair
 from repro.streams.sources import PairSource, ZipfSource
@@ -96,10 +95,11 @@ def test_policy_less_run_below_2w_takes_the_fast_loop(reached):
 @pytest.mark.parametrize("algorithm", ("EXACT", "RAND", "PROBV", "ARM"))
 def test_force_general_pins_the_kernel_loop(reached, algorithm):
     pair = zipf_pair(300, 10, 1.0, seed=1)
-    run_algorithm(algorithm, pair, 20, 10, force_general=True)
-    run_algorithm(
-        algorithm, pair, 20, 10, force_general=True,
-        source=PairSource(pair), until=len(pair),
+    spec = RunSpec(algorithm=algorithm, window=20, memory=10)
+    kernel_run(spec, pair=pair)
+    kernel_run(
+        RunSpec(algorithm=algorithm, window=20, memory=10,
+                source=PairSource(pair), duration=len(pair)),
     )
     assert reached == ["_run_kernel", "_run_kernel"]
 
@@ -208,16 +208,27 @@ def test_serve_rand_takes_the_lane_with_kernel_summaries(
 # boundaries: the default path against the kernel loop
 # ----------------------------------------------------------------------
 
-def outcome(algorithm, pair, window, memory, **extra):
-    """What a run must reproduce, or the ``ValueError`` it raised."""
+def outcome(algorithm, pair, window, memory, *, runner=run, source=False):
+    """What a run must reproduce, or the ``ValueError`` it raised.
+
+    ``source=True`` feeds the pair as a source bounded by ``duration``,
+    which sends it down the incremental path (an empty pair still gets
+    ``duration=1``; the source ends first).
+    """
+    fields = (
+        dict(source=PairSource(pair), duration=max(len(pair), 1)) if source else {}
+    )
     try:
-        result = run_algorithm(
-            algorithm, pair, window, memory, seed=1, track_survival=True,
+        spec = RunSpec(
+            algorithm=algorithm, window=window, memory=memory, seed=1, **fields
+        )
+        result = runner(
+            spec,
+            pair=None if source else pair,
             estimators={
                 "R": StaticFrequencyTable({0: 0.5, 1: 0.25, 2: 0.15, 3: 0.1}),
                 "S": StaticFrequencyTable({0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}),
             },
-            **extra,
         )
     except ValueError as exc:
         return ("ValueError", str(exc))
@@ -244,14 +255,13 @@ def test_default_matches_the_kernel_loop_at_the_boundaries(algorithm, window):
                 pair = zipf_pair(length, 4, 1.0, seed=seed)
                 args = (algorithm, pair, window, memory)
                 default = outcome(*args)
-                assert default == outcome(*args, force_general=True), (
+                assert default == outcome(*args, runner=kernel_run), (
                     memory, length, seed,
                 )
                 if memory % 2 and not variable and algorithm != "EXACT":
                     # Fixed allocation splits M evenly (documented).
                     assert default[0] == "ValueError"
                     continue
-                source = dict(source=PairSource(pair), until=length)
-                assert outcome(*args, **source)[:4] == outcome(
-                    *args, force_general=True, **source
+                assert outcome(*args, source=True)[:4] == outcome(
+                    *args, runner=kernel_run, source=True
                 )[:4], (memory, length, seed)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exact import run_exact
+from repro.api import RunSpec, run
 from repro.core.offline import (
     TupleJob,
     brute_force_opt,
@@ -24,7 +24,6 @@ from repro.core.offline import (
     solve_opt,
     total_exact_output,
 )
-from repro.experiments.runner import run_algorithm
 from repro.streams import StreamPair, exact_join_size, zipf_pair
 
 
@@ -157,10 +156,13 @@ class TestOptProperties:
         pair = zipf_pair(300, 8, 1.0, seed=21)
         window, memory = 20, 10
         opt = solve_opt(pair, window, memory).output_count
-        exact = run_exact(pair, window).output_count
+        exact = run(RunSpec(algorithm="EXACT", window=window), pair=pair).output_count
         assert opt <= exact
         for name in ("RAND", "PROB", "LIFE"):
-            online = run_algorithm(name, pair, window, memory, seed=4).output_count
+            online = run(
+                RunSpec(algorithm=name, window=window, memory=memory, seed=4),
+                pair=pair,
+            ).output_count
             assert online <= opt
 
     def test_optv_dominates_online_variable(self):
@@ -168,7 +170,10 @@ class TestOptProperties:
         window, memory = 20, 10
         optv = solve_opt(pair, window, memory, variable=True).output_count
         for name in ("RANDV", "PROBV", "LIFEV"):
-            online = run_algorithm(name, pair, window, memory, seed=4).output_count
+            online = run(
+                RunSpec(algorithm=name, window=window, memory=memory, seed=4),
+                pair=pair,
+            ).output_count
             assert online <= optv
 
     def test_monotone_in_memory(self):
@@ -187,7 +192,7 @@ class TestOptProperties:
         pair = zipf_pair(250, 8, 1.0, seed=24)
         window = 15
         opt = solve_opt(pair, window, 2 * window).output_count
-        exact = run_exact(pair, window).output_count
+        exact = run(RunSpec(algorithm="EXACT", window=window), pair=pair).output_count
         assert opt == exact
 
     def test_departures_within_lifetimes(self):

@@ -10,8 +10,8 @@ generated ``FigureData`` / ``TableData``, one argument per id.  The
 bounds live in the predicates.
 
 Every generator a claim reads runs once per session, at ``SCALES["ci"]``
-with seed 0, whatever ``REPRO_SCALE`` says; ``CLAIMED_ELSEWHERE`` names
-the test that covers each generator no row reads.  ``make figures`` renders the same
+with seed 0, whatever ``REPRO_SCALE`` says, and every registered
+generator has at least one row.  ``make figures`` renders the same
 generators at the default scale into ``benchmarks/results/``; nothing
 here writes there.
 """
@@ -235,13 +235,6 @@ CLAIMS: list[Claim] = [
           > column_of(t, "PROB output")["static table (first phase)"]),
 ]
 
-#: Generators whose claims a named test checks on a smaller instance.
-#: The cost-scaling solver needs about 8 s for the ci-scale instance.
-CLAIMED_ELSEWHERE = {
-    "ablation_solver": "tests/test_ablations.py::TestSolverAblation::test_solvers_agree",
-}
-
-
 @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: f"{'+'.join(c.ids)}-{c.name}")
 def test_claim(claim: Claim):
     assert claim.holds(*(generated(i) for i in claim.ids))
@@ -249,7 +242,7 @@ def test_claim(claim: Claim):
 
 def test_every_generator_has_a_claim():
     claimed = {i for claim in CLAIMS for i in claim.ids}
-    assert set(GENERATORS) == claimed | set(CLAIMED_ELSEWHERE)
+    assert set(GENERATORS) == claimed
 
 
 def test_make_figures_renders_every_generator():

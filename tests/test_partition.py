@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec, build_pair, run, run_sharded
-from repro.core import run_exact
 from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
 from repro.core.partition import (
     MIN_SHARD_BUDGET,
@@ -153,7 +152,10 @@ class TestExactIdentity:
         """Each shard produces exactly the exact-join pairs of its keys."""
         spec = _spec("EXACT", shards=4)
         pair = build_pair(spec)
-        exact = run_exact(pair, spec.window, materialize=True)
+        exact = run(
+            RunSpec(algorithm="EXACT", window=spec.window, materialize=True),
+            pair=pair,
+        )
         per_shard_expected = [0] * spec.shards
         for out in exact.pairs:
             per_shard_expected[shard_of(out.key, spec.shards)] += 1

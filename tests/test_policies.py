@@ -302,8 +302,8 @@ class TestArmPolicy:
 
     def test_end_to_end_run(self, small_zipf_pair):
         """ARM runs cleanly inside the engine at several memory sizes."""
-        from repro.experiments import run_algorithm
+        from repro.api import RunSpec, run
 
         for memory in (4, 10, 20):
-            result = run_algorithm("ARM", small_zipf_pair, 20, memory)
-            assert 0 <= result.output_count
+            spec = RunSpec(algorithm="ARM", window=20, memory=memory)
+            assert 0 <= run(spec, pair=small_zipf_pair).output_count

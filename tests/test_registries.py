@@ -48,7 +48,6 @@ class TestFigureRegistry:
             "ablation_statistics",
             "ablation_predictor",
             "ablation_drift",
-            "ablation_solver",
         }
 
     def test_registries_disjoint(self):
@@ -77,12 +76,10 @@ class TestPackageExports:
 
     def test_readme_quickstart_snippet(self):
         """The README's quickstart code runs and shows the right ordering."""
-        from repro import exact_join_size, run_algorithm, zipf_pair
+        from repro import RunSpec, build_pair, compare, exact_join_size
 
-        pair = zipf_pair(length=2000, domain_size=50, skew=1.0, seed=7)
-        window, memory = 100, 50
-        rand = run_algorithm("RAND", pair, window, memory)
-        prob = run_algorithm("PROB", pair, window, memory)
-        opt = run_algorithm("OPT", pair, window, memory)
-        exact = exact_join_size(pair, window, count_from=2 * window)
+        spec = RunSpec(window=100, memory=50, length=2000, skew=1.0, seed=7)
+        results = compare([spec, "RAND", "OPT"])
+        rand, prob, opt = results["RAND"], results["PROB"], results["OPT"]
+        exact = exact_join_size(build_pair(spec), 100, count_from=200)
         assert rand.output_count < prob.output_count <= opt.output_count <= exact

@@ -9,18 +9,17 @@ failure surface (a worker exception names its cell) and the
 import pytest
 
 from repro.api import RunSpec, compare
-from repro.experiments.runner import run_suite
 from repro.experiments.sweep import sweep_seeds
 from repro.obs import MetricsRegistry
 from repro.runtime import (
-    AlgorithmCell,
     CellError,
     Fault,
     FaultPlan,
     RetryPolicy,
+    SpecCell,
     parallel_map,
     resolve_workers,
-    run_algorithm_cell,
+    run_spec_cell,
 )
 from repro.streams import zipf_pair
 
@@ -107,22 +106,21 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="labels"):
             parallel_map(_square, [1, 2], workers=1, labels=["only-one"])
 
-    def test_algorithm_cell_failure_mid_grid(self):
+    def test_spec_cell_failure_mid_grid(self):
         """A bad cell surfaces its own label, not an opaque pool error."""
         pair = _pair(0, length=400)
         cells = [
-            AlgorithmCell("RAND", pair, 40, 20, seed=0),
-            AlgorithmCell("NOPE", pair, 40, 20, seed=0),
-            AlgorithmCell("PROB", pair, 40, 20, seed=0),
+            SpecCell(RunSpec(algorithm=name, window=40, memory=memory), pair)
+            for name, memory in (("RAND", 20), ("PROB", 21), ("LIFE", 20))
         ]
         with pytest.raises(CellError) as excinfo:
             parallel_map(
-                run_algorithm_cell,
+                run_spec_cell,
                 cells,
                 workers=2,
                 labels=[cell.label for cell in cells],
             )
-        assert "NOPE" in excinfo.value.label
+        assert "PROB(w=40,M=21" in excinfo.value.label
         assert excinfo.value.exc_type == "ValueError"
 
 
@@ -154,27 +152,26 @@ class TestParallelEqualsSerial:
         )
         assert serial == parallel
 
-    def test_run_suite_results_and_merged_metrics(self):
+    def test_compare_results_carry_their_own_metrics(self):
         pair = _pair(1)
-        serial_metrics = MetricsRegistry()
-        serial = run_suite(
-            ALGORITHMS, pair, 50, 24, seed=1, metrics=serial_metrics, workers=1
-        )
-        parallel_metrics = MetricsRegistry()
-        parallel = run_suite(
-            ALGORITHMS, pair, 50, 24, seed=1, metrics=parallel_metrics, workers=4
-        )
-        for name in ALGORITHMS:
-            assert serial[name].output_count == parallel[name].output_count
-            assert (
-                serial[name].drop_breakdown() == parallel[name].drop_breakdown()
-            )
-        # Worker snapshots merge back into the parent registry: the
-        # accumulated engine counters must match the serial registry.
-        for counter in ("engine.output", "engine.probes", "engine.matches"):
-            assert parallel_metrics.counter_total(
-                counter
-            ) == serial_metrics.counter_total(counter)
+        specs = [
+            RunSpec(algorithm=name, window=50, memory=24, seed=1, metrics=True)
+            for name in ALGORITHMS
+        ]
+        serial = compare(specs, pair=pair, workers=1)
+        parallel = compare(specs, pair=pair, workers=4)
+        for label in serial:
+            one, many = serial[label], parallel[label]
+            assert one.output_count == many.output_count
+            assert one.drop_breakdown() == many.drop_breakdown()
+            # Each snapshot covers its own run, in a worker as serially.
+            one_metrics = MetricsRegistry.from_snapshot(one.metrics)
+            many_metrics = MetricsRegistry.from_snapshot(many.metrics)
+            assert one_metrics.counter_value("engine.output") == one.output_count
+            for counter in ("engine.output", "engine.probes", "engine.matches"):
+                assert one_metrics.counter_total(
+                    counter
+                ) == many_metrics.counter_total(counter)
 
     def test_env_variable_reaches_nested_calls(self, monkeypatch):
         """REPRO_WORKERS steers call sites that were not passed workers."""

@@ -7,7 +7,7 @@ import pytest
 from repro.api import RunSpec, run
 from repro.core.engine import EngineConfig, JoinEngine
 from repro.core.policies import make_policy_spec
-from repro.experiments.runner import estimators_for, run_algorithm
+from repro.experiments.runner import estimators_for
 from repro.obs import (
     EVENT_KINDS,
     NULL_TRACER,
@@ -127,10 +127,12 @@ class TestNullPath:
     def test_instrumented_run_differs_only_by_payload(self):
         pair = zipf_pair(400, 20, 1.0, seed=0)
         estimators = estimators_for(pair)
-        plain = run_algorithm("PROB", pair, 40, 20, estimators=estimators)
-        traced = run_algorithm(
-            "PROB", pair, 40, 20, estimators=estimators,
-            trace=Tracer(RingBufferSink(1 << 18)),
+        spec = RunSpec(algorithm="PROB", window=40, memory=20)
+        plain = run(spec, pair=pair, estimators=estimators)
+        traced = run(
+            RunSpec(algorithm="PROB", window=40, memory=20, trace=True,
+                    trace_capacity=1 << 18),
+            pair=pair, estimators=estimators,
         )
         assert plain.output_count == traced.output_count
         assert plain.drop_breakdown() == traced.drop_breakdown()

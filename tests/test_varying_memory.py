@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core import CapacityExceededError, EngineConfig, JoinEngine
 from repro.core.memory import JoinMemory, TupleRecord
-from repro.core.policies import LifePolicy, ProbPolicy, RandomEvictionPolicy
-from repro.experiments import estimators_for, run_algorithm, varying_memory_study
+from repro.core.policies import (
+    LifePolicy,
+    ProbPolicy,
+    RandomEvictionPolicy,
+    make_policy_spec,
+)
+from repro.experiments import estimators_for, varying_memory_study
 from repro.streams import zipf_pair
 
 
@@ -87,16 +93,14 @@ class TestWeakestResident:
 class TestEngineWithSchedule:
     def _run(self, pair, schedule, policy_name="PROB", window=20, memory=20):
         estimators = estimators_for(pair)
-        from repro.experiments.runner import _policy_for
-
         config = EngineConfig(
             window=window, memory=memory, memory_schedule=schedule, validate=True
         )
-        policy = _policy_for(policy_name, estimators, window, 0)
+        policy = make_policy_spec(policy_name, estimators=estimators, window=window)
         return JoinEngine(config, policy=policy).run(pair)
 
     def test_constant_schedule_matches_plain_run(self, small_zipf_pair):
-        plain = run_algorithm("PROB", small_zipf_pair, 20, 10)
+        plain = run(RunSpec(algorithm="PROB", window=20, memory=10), pair=small_zipf_pair)
         scheduled = self._run(small_zipf_pair, lambda t: 10, memory=10)
         assert scheduled.output_count == plain.output_count
 
@@ -111,7 +115,7 @@ class TestEngineWithSchedule:
     def test_sequence_schedule(self, small_zipf_pair):
         schedule = [10] * len(small_zipf_pair)
         scheduled = self._run(small_zipf_pair, schedule, memory=10)
-        plain = run_algorithm("PROB", small_zipf_pair, 20, 10)
+        plain = run(RunSpec(algorithm="PROB", window=20, memory=10), pair=small_zipf_pair)
         assert scheduled.output_count == plain.output_count
 
     def test_shrink_evicts_immediately(self):
@@ -152,17 +156,13 @@ class TestEngineWithSchedule:
         from tests.test_engine import recount_from_departures
 
         pair = zipf_pair(150, 6, 1.0, seed=4)
-        estimators = estimators_for(pair)
-        from repro.experiments.runner import _policy_for
-
-        config = EngineConfig(
+        spec = RunSpec(
+            algorithm="PROB",
             window=12,
             memory=12,
             memory_schedule=lambda t: 12 if (t // 12) % 2 == 0 else 4,
-            track_survival=True,
         )
-        policy = _policy_for("PROB", estimators, 12, 0)
-        result = JoinEngine(config, policy=policy).run(pair)
+        result = run(spec, pair=pair)
         assert recount_from_departures(pair, result) == result.output_count
 
 

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core import EngineConfig, JoinEngine
 from repro.core.async_engine import AsyncEngineConfig, AsyncJoinEngine
+from repro.core.policies import make_policy_spec
 from repro.experiments import estimators_for
-from repro.experiments.runner import _policy_for, run_algorithm
 from repro.streams import StreamPair, exact_join_size, zipf_pair
 from repro.streams.sources import PairSource
 
@@ -20,11 +21,13 @@ class TestWindowSchedule:
             track_survival=False,
             validate=True,
         )
-        spec = None if policy is None else _policy_for(policy, estimators, window, 0)
+        spec = None if policy is None else make_policy_spec(
+            policy, estimators=estimators, window=window
+        )
         return JoinEngine(config, policy=spec).run(pair)
 
     def test_constant_schedule_matches_plain(self, small_zipf_pair):
-        plain = run_algorithm("PROB", small_zipf_pair, 20, 10)
+        plain = run(RunSpec(algorithm="PROB", window=20, memory=10), pair=small_zipf_pair)
         scheduled = self._run(small_zipf_pair, lambda t: 20, window=20, memory=10)
         assert scheduled.output_count == plain.output_count
 
@@ -63,7 +66,7 @@ class TestWindowSchedule:
     def test_sequence_schedule(self, small_zipf_pair):
         schedule = [20] * len(small_zipf_pair)
         scheduled = self._run(small_zipf_pair, schedule, window=20, memory=10)
-        plain = run_algorithm("PROB", small_zipf_pair, 20, 10)
+        plain = run(RunSpec(algorithm="PROB", window=20, memory=10), pair=small_zipf_pair)
         assert scheduled.output_count == plain.output_count
 
     def test_survival_tracking_rejected(self):
